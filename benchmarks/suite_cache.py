@@ -7,7 +7,7 @@ and 12 share the warp-capacity sweep the same way.
 This module is now a thin shim: the heavy lifting moved into
 ``repro.core.result_cache`` (persistent, content-addressed, on-disk —
 shared across processes and across runs, keyed on workload/config/
-policy/scale/seed/code-version) and ``repro.core.parallel``
+policy/scale/seed/code-version) and ``repro.core.supervisor``
 (``REPRO_JOBS`` worker processes). The ``lru_cache`` here only spares
 benchmarks in the *same* process the cache-probe round trip; cold
 benchmark processes hit the disk cache instead of re-simulating. See

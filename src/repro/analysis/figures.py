@@ -33,6 +33,7 @@ from ..core.policies import (
 )
 from ..core.results import SimulationResult
 from ..energy.area import estimate_area
+from ..errors import ConfigError
 from ..memory.allocation import TABLE_BITS as ALLOC_TABLE_BITS
 from ..ndp.analyzer import BITS_PER_INSTANCE
 from ..trace.generator import TraceScale, build_trace
@@ -47,7 +48,13 @@ SuiteResults = Dict[str, Dict[str, SimulationResult]]
 
 def default_scale() -> TraceScale:
     name = env_text("REPRO_BENCH_SCALE", "SMALL").upper()
-    return TraceScale[name]
+    try:
+        return TraceScale[name]
+    except KeyError:
+        raise ConfigError(
+            f"REPRO_BENCH_SCALE must be one of {', '.join(TraceScale.__members__)}"
+            f" (any case), got {name!r}"
+        ) from None
 
 
 @dataclass
@@ -452,10 +459,10 @@ def section66() -> FigureResult:
 
 
 #: Every figure driver by its external name — the single source of
-#: truth the CLI (``repro-tom figure``), the bundle exporter, and the
-#: service (``repro-tom serve``) resolve figure names through. Each
-#: value accepts ``scale``/``seed`` keyword arguments where the figure
-#: is parameterized by them (``section66`` is not).
+#: truth the CLI (``repro-tom figure``) and the bundle exporter resolve
+#: figure names through. Each value accepts ``scale``/``seed`` keyword
+#: arguments where the figure is parameterized by them (``section66``
+#: is not).
 FIGURE_BUILDERS = {
     "fig2": figure2,
     "fig3": figure3,

@@ -41,12 +41,12 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..config import SystemConfig, baseline_config, env_text
 from ..core import manifest as manifest_mod
 from ..core import result_cache
-from ..core.parallel import SuiteJob
 from ..core.policies import POLICIES_BY_LABEL
 from ..core.results import SimulationResult
 from ..core.supervisor import (
     JobFailure,
     JobOutcome,
+    SuiteJob,
     SupervisorConfig,
     run_supervised,
 )

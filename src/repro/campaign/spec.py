@@ -37,11 +37,9 @@ same ``point_id``s (a SHA-256 over the point's identity including the
 resolved configuration — but *not* the code version, so campaign
 identity survives code changes; the result cache's own keys handle
 invalidation). That determinism is what makes skip-completed, resume,
-and the service's cache-or-enqueue decision trustworthy.
+and manifest-based status trustworthy.
 
-TOML is parsed with :mod:`tomllib` where available (Python >= 3.11)
-and otherwise with a small built-in fallback parser covering the
-subset above — no third-party dependency either way.
+TOML is parsed with the standard library's :mod:`tomllib`.
 """
 
 from __future__ import annotations
@@ -50,9 +48,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import tomllib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..config import SystemConfig, ndp_config
 from ..core.policies import POLICIES_BY_LABEL
@@ -106,7 +105,7 @@ class CampaignConfig:
 @dataclass(frozen=True)
 class CampaignPoint:
     """One expanded point of the product. ``point_id`` is the content
-    address the driver, manifest roll-ups, and the service key on."""
+    address the driver and manifest roll-ups key on."""
 
     point_id: str
     workload: str
@@ -362,8 +361,7 @@ def _freeze(value):
 
 def load_spec(path) -> CampaignSpec:
     """Load a campaign spec from a TOML or JSON file. ``.json`` parses
-    as JSON; anything else parses as TOML (via :mod:`tomllib` on
-    Python >= 3.11, else the built-in fallback subset parser)."""
+    as JSON; anything else parses as TOML."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -380,178 +378,9 @@ def load_spec(path) -> CampaignSpec:
 
 
 def parse_toml(text: str, source: str = "<campaign spec>") -> Dict:
-    """Parse TOML with :mod:`tomllib` when the interpreter has it,
-    falling back to the subset parser below (Python 3.10 support —
-    no new dependency either way)."""
-    try:
-        import tomllib
-    except ImportError:
-        return _parse_toml_fallback(text, source)
+    """Parse TOML with :mod:`tomllib`; malformed input raises
+    :class:`~repro.errors.ConfigError` naming ``source``."""
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as error:
         raise ConfigError(f"bad TOML in {source}: {error}") from None
-
-
-def _parse_toml_fallback(text: str, source: str) -> Dict:
-    """A deliberately small TOML subset parser: ``[tables]``,
-    ``[[arrays of tables]]``, bare/quoted keys (quoted keys may contain
-    dots), strings, integers, floats, booleans, and single-line arrays.
-    Exactly what a campaign spec needs; anything fancier should use a
-    Python >= 3.11 interpreter or a ``.json`` spec."""
-    root: Dict = {}
-    current: Dict = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise ConfigError(f"{source}:{lineno}: malformed table array header")
-            parts = _split_key(line[2:-2].strip(), source, lineno)
-            parent = _navigate(root, parts[:-1], source, lineno)
-            array = parent.setdefault(parts[-1], [])
-            if not isinstance(array, list):
-                raise ConfigError(
-                    f"{source}:{lineno}: {'.'.join(parts)} is not a table array"
-                )
-            current = {}
-            array.append(current)
-        elif line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"{source}:{lineno}: malformed table header")
-            parts = _split_key(line[1:-1].strip(), source, lineno)
-            parent = _navigate(root, parts[:-1], source, lineno)
-            existing = parent.get(parts[-1])
-            if existing is None:
-                current = {}
-                parent[parts[-1]] = current
-            elif isinstance(existing, dict):
-                current = existing
-            else:
-                raise ConfigError(
-                    f"{source}:{lineno}: {'.'.join(parts)} is not a table"
-                )
-        else:
-            key_text, sep, value_text = _partition_assignment(line)
-            if not sep:
-                raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
-            parts = _split_key(key_text.strip(), source, lineno)
-            target = _navigate(current, parts[:-1], source, lineno)
-            target[parts[-1]] = _parse_value(value_text.strip(), source, lineno)
-    return root
-
-
-def _partition_assignment(line: str) -> Tuple[str, str, str]:
-    """Split on the first ``=`` outside quotes (keys may be quoted and
-    contain ``=``-free dots; values may contain ``=`` inside strings)."""
-    quote: Optional[str] = None
-    for i, ch in enumerate(line):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "=":
-            return line[:i], "=", line[i + 1 :]
-    return line, "", ""
-
-
-def _split_key(text: str, source: str, lineno: int) -> List[str]:
-    """Dotted keys split on dots; quoted segments keep their dots."""
-    parts: List[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "\"'":
-            end = text.find(ch, i + 1)
-            if end < 0:
-                raise ConfigError(f"{source}:{lineno}: unterminated quoted key")
-            parts.append(text[i + 1 : end])
-            i = end + 1
-        else:
-            end = text.find(".", i)
-            if end < 0:
-                end = n
-            segment = text[i:end].strip()
-            if segment:
-                parts.append(segment)
-            i = end
-        if i < n:
-            if text[i].strip() and text[i] != ".":
-                raise ConfigError(f"{source}:{lineno}: malformed key {text!r}")
-            i += 1
-    if not parts:
-        raise ConfigError(f"{source}:{lineno}: empty key")
-    return parts
-
-
-def _navigate(container: Dict, parts: Sequence[str], source: str, lineno: int) -> Dict:
-    for part in parts:
-        nxt = container.setdefault(part, {})
-        if isinstance(nxt, list):
-            if not nxt:
-                raise ConfigError(f"{source}:{lineno}: empty table array {part!r}")
-            nxt = nxt[-1]
-        if not isinstance(nxt, dict):
-            raise ConfigError(f"{source}:{lineno}: {part!r} is not a table")
-        container = nxt
-    return container
-
-
-def _parse_value(text: str, source: str, lineno: int):
-    if not text:
-        raise ConfigError(f"{source}:{lineno}: missing value")
-    if text[0] in "\"'":
-        if len(text) < 2 or text[-1] != text[0]:
-            raise ConfigError(f"{source}:{lineno}: unterminated string")
-        return text[1:-1]
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(
-                f"{source}:{lineno}: arrays must close on the same line"
-            )
-        return [
-            _parse_value(item, source, lineno)
-            for item in _split_array(text[1:-1], source, lineno)
-        ]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{source}:{lineno}: cannot parse value {text!r}") from None
-
-
-def _split_array(body: str, source: str, lineno: int) -> List[str]:
-    items: List[str] = []
-    depth = 0
-    quote: Optional[str] = None
-    start = 0
-    for i, ch in enumerate(body):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            item = body[start:i].strip()
-            if item:
-                items.append(item)
-            start = i + 1
-    tail = body[start:].strip()
-    if tail:
-        items.append(tail)
-    if quote or depth:
-        raise ConfigError(f"{source}:{lineno}: malformed array")
-    return items

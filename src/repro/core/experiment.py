@@ -5,9 +5,9 @@ and runs any number of policies against it, so policy comparisons are
 always apples-to-apples (same addresses, same iteration counts).
 :func:`run_suite` sweeps the full 10-workload suite — in parallel
 across workloads when ``REPRO_JOBS`` allows (see
-:mod:`repro.core.parallel`) and backed by the persistent on-disk result
-cache (see :mod:`repro.core.result_cache`), so repeated figure drivers
-re-simulate nothing.
+:mod:`repro.core.supervisor`) and backed by the persistent on-disk
+result cache (see :mod:`repro.core.result_cache`), so repeated figure
+drivers re-simulate nothing.
 
 :func:`run_suite_supervised` is the fault-tolerant variant built on
 :mod:`repro.core.supervisor`: per-job timeouts and retries, partial
@@ -34,11 +34,16 @@ from ..workloads.suite import SUITE_ORDER
 from . import gridrun
 from . import manifest as manifest_mod
 from . import result_cache
-from .parallel import SuiteJob
 from .policies import BASELINE, RunPolicy
 from .results import SimulationResult
 from .simulator import Simulator
-from .supervisor import JobFailure, JobOutcome, SupervisorConfig, run_supervised
+from .supervisor import (
+    JobFailure,
+    JobOutcome,
+    SuiteJob,
+    SupervisorConfig,
+    run_supervised,
+)
 
 
 class WorkloadRunner:
@@ -161,15 +166,15 @@ class WorkloadRunner:
         Returns ``{policy_label: result}`` when ``variants`` is None,
         else one such dict per variant. Results are bit-identical to
         running each variant on its own :class:`WorkloadRunner` (the
-        scalar engine remains the reference; ``REPRO_NO_GRID=1`` forces
-        that path). Per-lane caching is unchanged: every lane probes the
-        persistent cache under the exact key :meth:`run` would use —
-        before the trace is built, so a fully-warm grid builds nothing —
-        and stores its result back. Grid lanes bypass tracing the same
-        way cache hits do, so an enabled ``recorder`` forces the
-        sequential scalar path. Variants whose configuration would
-        generate a different trace (compiler/message/warp/page fields)
-        are evicted to their own scalar runners.
+        scalar engine remains the reference). Per-lane caching is
+        unchanged: every lane probes the persistent cache under the
+        exact key :meth:`run` would use — before the trace is built, so
+        a fully-warm grid builds nothing — and stores its result back.
+        Grid lanes bypass tracing the same way cache hits do, so an
+        enabled ``recorder`` forces the sequential scalar path. Variants
+        whose configuration would generate a different trace
+        (compiler/message/warp/page fields) are evicted to their own
+        scalar runners.
         """
         single = variants is None
         ndp_variants = (
@@ -242,10 +247,7 @@ class WorkloadRunner:
                 self._cache.setdefault(policy.label, result)
             return result
 
-        use_grid = (
-            not tracing and gridrun.lockstep_enabled() and len(missing) >= 2
-        )
-        if not use_grid:
+        if tracing or len(missing) < 2:
             for index, policy in missing:
                 results[index][policy.label] = run_scalar(index, policy)
             return results[0] if single else results

@@ -42,7 +42,7 @@ The scalar engine remains the reference: every lane's
 fresh per-variant :class:`~repro.core.experiment.WorkloadRunner`
 (asserted over the full Figure-8 SMALL grid in ``tests/test_gridrun.py``).
 Lockstep runs never trace (they bypass observability exactly like
-cache hits do); ``REPRO_NO_GRID=1`` disables the engine entirely.
+cache hits do).
 
 Grid lanes inherit the event-engine backend like every other run:
 ``_LaneSimulator`` extends :class:`Simulator`, whose
@@ -60,7 +60,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..config import SystemConfig, env_flag
+from ..config import SystemConfig
 from ..errors import ConfigError
 from ..gpu.warp import CandidateSegment, WarpAccess
 from ..guard import check_simulation_allowed
@@ -85,11 +85,6 @@ from ..utils.simcore import Acquire, AllOf, Timeout
 from .policies import MappingPolicy, OffloadPolicy, RunPolicy
 from .results import SimulationResult
 from .simulator import _L2_HIT_LATENCY, Simulator
-
-
-def lockstep_enabled() -> bool:
-    """The grid engine is on unless ``REPRO_NO_GRID`` is truthy."""
-    return not env_flag("REPRO_NO_GRID")
 
 
 def trace_fingerprint(config: SystemConfig) -> str:

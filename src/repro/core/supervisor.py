@@ -1,9 +1,20 @@
-"""Supervised job execution: per-job fault isolation for suite runs.
+"""Suite jobs and their supervised execution.
 
-:func:`repro.core.parallel.run_jobs` used to drive a bare
-``pool.map``, so one worker exception, hang, or OOM-kill aborted the
-whole suite and discarded every in-flight result. This module replaces
-that core with a supervisor that treats individual job failure as data:
+Every paper figure fans out over the workload suite as independent,
+deterministic simulations. A :class:`SuiteJob` is one ``(workload,
+scale, seed, configs)`` combination carrying the policies still to be
+simulated for it: :func:`execute_job` builds the trace once and runs
+every policy against it through
+:class:`repro.core.experiment.WorkloadRunner`, so pool workers and the
+inline path share one code path and are bit-identical by construction.
+Job payloads and results are plain frozen dataclasses, so pickling is
+cheap; traces are never shipped between processes — each worker
+rebuilds its own from the ``(workload, scale, seed)`` triple.
+
+:func:`run_supervised` dispatches jobs across a
+:class:`concurrent.futures.ProcessPoolExecutor` (worker count from
+``REPRO_JOBS``, default ``os.cpu_count()``; ``REPRO_JOBS=1`` runs
+inline) and treats individual job failure as data:
 
 * **per-job submit** with a configurable wall-clock timeout
   (``REPRO_JOB_TIMEOUT`` / ``job_timeout``);
@@ -14,9 +25,9 @@ that core with a supervisor that treats individual job failure as data:
   supervisor rebuilds the pool and replays the in-flight suspects one
   at a time in isolation: a crash during a solo replay is unambiguously
   that job's own, innocent neighbours are re-enqueued uncharged;
-* **per-job pickling isolation** — a pickling-hostile job runs inline
-  in the parent while the rest still use the pool (previously one such
-  job demoted the entire batch to serial);
+* **per-job pickling isolation** — a pickling-hostile job (a
+  monkeypatched config, an ad-hoc workload object) runs inline in the
+  parent while the rest still use the pool;
 * **structured outcomes** — every job ends as a :class:`JobOutcome`
   carrying either its results or a machine-readable
   :class:`JobFailure`; the suite completes with partial results instead
@@ -40,6 +51,7 @@ pool workers and inline.
 
 from __future__ import annotations
 
+import os
 import pickle
 import time
 from collections import deque
@@ -48,16 +60,66 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..config import env_text
+from ..config import SystemConfig, env_text
 from ..errors import ConfigError
 from ..guard import check_simulation_allowed
-from .parallel import SuiteJob, default_jobs
+from ..trace.generator import TraceScale
+from .policies import RunPolicy
 from .results import SimulationResult
 
 #: Default retry/backoff knobs (overridable per call or via env).
 DEFAULT_MAX_RETRIES = 1
 DEFAULT_BACKOFF_BASE = 0.1
 DEFAULT_BACKOFF_CAP = 2.0
+
+
+@dataclass(frozen=True)
+class SuiteJob:
+    """One workload's pending simulations: the trace is built once in
+    the worker and shared across every policy of the job."""
+
+    workload: str
+    policies: Tuple[RunPolicy, ...]
+    scale: TraceScale
+    seed: int
+    ndp_configuration: Optional[SystemConfig] = None
+    baseline_configuration: Optional[SystemConfig] = None
+
+
+def default_jobs() -> int:
+    """Worker count: ``REPRO_JOBS`` env var, else ``os.cpu_count()``."""
+    raw = env_text("REPRO_JOBS").strip()
+    if raw:
+        try:
+            return max(1, int(raw))
+        except ValueError:
+            raise ConfigError(
+                f"REPRO_JOBS must be an integer (1 or more), got {raw!r}"
+            ) from None
+    return os.cpu_count() or 1
+
+
+def execute_job(job: SuiteJob) -> Dict[str, SimulationResult]:
+    """Run one job (in a worker or inline): build the workload's trace
+    once, simulate every requested policy against it. Results land in
+    the persistent cache from inside the worker, so even a crashed
+    parent keeps completed work.
+
+    Jobs carrying two or more policies go through the lockstep grid
+    engine (``WorkloadRunner.run_grid`` — bit-identical to sequential
+    runs); single-policy jobs run the scalar engine directly."""
+    from .experiment import WorkloadRunner  # deferred: experiment imports us
+
+    runner = WorkloadRunner(
+        job.workload,
+        scale=job.scale,
+        seed=job.seed,
+        ndp_configuration=job.ndp_configuration,
+        baseline_configuration=job.baseline_configuration,
+    )
+    if len(job.policies) >= 2:
+        return runner.run_grid(job.policies)
+    return {policy.label: runner.run(policy) for policy in job.policies}
 
 
 def _worker_entry(job: SuiteJob) -> Dict[str, SimulationResult]:
@@ -68,8 +130,6 @@ def _worker_entry(job: SuiteJob) -> Dict[str, SimulationResult]:
 
     if faults.active():
         faults.maybe_fault(f"job/{job.workload}")
-    from .parallel import execute_job
-
     return execute_job(job)
 
 

@@ -1,14 +1,13 @@
 """A thread-local "no heavy work" guard for cache-only queries.
 
-The campaign service (:mod:`repro.campaign.service`) promises that a
-*warm* figure or run query is answered straight from the persistent
-result cache — without building a trace or running a simulation. The
-honest way to keep that promise is not to predict warmth but to
-*forbid* heavy work while evaluating the query: the service renders
-the figure under :func:`deny_simulation`, and the first code path that
-would actually simulate raises :class:`~repro.errors.SimulationDenied`
-instead. The service catches it, classifies the query as cold, and
-enqueues a campaign job.
+A *warm* figure or run query must be answered straight from the
+persistent result cache — without building a trace or running a
+simulation. The honest way to check that is not to predict warmth but
+to *forbid* heavy work while evaluating the query: run it under
+:func:`deny_simulation`, and the first code path that would actually
+simulate raises :class:`~repro.errors.SimulationDenied` instead. The
+end-to-end benchmark (``perfbench/run.py``) runs its warm phase this
+way, and ``tests/test_campaign.py`` (``TestGuard``) pins the contract.
 
 Checked at four choke points, outermost first:
 
@@ -21,11 +20,10 @@ Checked at four choke points, outermost first:
 * :meth:`repro.core.simulator.Simulator.run` — the scalar engine, as
   the final belt-and-braces check.
 
-The flag is **thread-local**: the service evaluates warm queries on
-executor threads while its background worker thread simulates cold
-campaign jobs — each thread sees only its own guard. It deliberately
-does not propagate to worker *processes*; that is why the supervisor
-check exists.
+Every check sits *after* the persistent-cache probe of its caller, so
+a fully cached query never reaches one. The flag is **thread-local**
+and deliberately does not propagate to worker *processes*; that is why
+the supervisor check exists.
 """
 
 from __future__ import annotations

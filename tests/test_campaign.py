@@ -1,7 +1,7 @@
 """Tests for the campaign layer (repro.campaign): spec expansion
 determinism, skip-completed semantics against cache and manifest,
-resume after injected faults, the simulation guard, the HTTP service's
-warm/cold contract, and the CLI's exit-code conventions.
+resume after injected faults, the simulation guard and its warm-path
+guarantee, and the CLI's exit-code conventions.
 
 Everything runs at TINY scale with REPRO_JOBS=1 (inline supervised
 execution) so the whole file stays fast; the zero-simulation
@@ -22,10 +22,10 @@ from repro.campaign import (
     default_manifest_path,
     load_spec,
 )
-from repro.campaign.spec import _parse_toml_fallback, apply_overrides, parse_toml
+from repro.campaign.spec import apply_overrides, parse_toml
 from repro.config import ndp_config
 from repro.core import simulator
-from repro.errors import ConfigError, ReproError, SimulationDenied
+from repro.errors import ConfigError, SimulationDenied
 from repro.guard import deny_simulation, simulation_denied
 from repro.trace.generator import TraceScale
 
@@ -181,19 +181,13 @@ class TestSpec:
 
 
 class TestTomlLoading:
-    def test_fallback_parses_sample(self):
-        data = _parse_toml_fallback(SAMPLE_TOML, "sample")
+    def test_parses_sample(self):
+        data = parse_toml(SAMPLE_TOML, "sample")
         assert data["name"] == "sample"
         assert data["axes"]["seeds"] == [0, 1]
         assert data["configs"][1]["overrides"]["links.cross_stack_gbps"] == 20.0
         assert data["exclude"][0]["workload"] == "BFS"
         assert data["pin"]["seed"] == 0
-
-    def test_fallback_agrees_with_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert _parse_toml_fallback(SAMPLE_TOML, "x") == tomllib.loads(
-            SAMPLE_TOML
-        )
 
     @pytest.mark.parametrize(
         "text",
@@ -205,9 +199,9 @@ class TestTomlLoading:
             "a = what",  # unparseable value
         ],
     )
-    def test_fallback_rejects_malformed(self, text):
-        with pytest.raises(ConfigError):
-            _parse_toml_fallback(text, "bad")
+    def test_malformed_toml_raises_config_error(self, text):
+        with pytest.raises(ConfigError, match="bad TOML in bad"):
+            parse_toml(text, "bad")
 
     def test_load_spec_toml_and_json(self, tmp_path):
         toml_path = tmp_path / "c.toml"
@@ -261,6 +255,31 @@ class TestGuard:
     def test_simulator_counts_runs(self):
         CampaignDriver(small_spec(policies=("baseline",))).run()
         assert simulator.stats["runs"] == 1
+
+    def test_warm_queries_pass_the_guard(self):
+        """Once a campaign has answered its points, fresh runners read
+        them back under the guard: equal results, nothing raised and
+        no simulation. Fails if a guard check moves ahead of the
+        persistent-cache probe in ``run`` or ``run_grid``."""
+        from repro.core.experiment import WorkloadRunner
+        from repro.core.policies import POLICIES_BY_LABEL
+
+        spec = small_spec(policies=("baseline", "ctrl+bmap", "ctrl+tmap"))
+        report = CampaignDriver(spec).run()
+        assert report.ok
+        cold = {p.policy: report.result_for(p) for p in spec.expand()}
+        policies = [POLICIES_BY_LABEL[label] for label in cold]
+
+        simulator.stats["runs"] = 0
+        with deny_simulation():
+            scalar = {
+                p.label: WorkloadRunner("BP", scale=TraceScale.TINY).run(p)
+                for p in policies
+            }
+            grid = WorkloadRunner("BP", scale=TraceScale.TINY).run_grid(policies)
+        assert scalar == cold
+        assert grid == cold
+        assert simulator.stats["runs"] == 0
 
 
 class TestDriver:
@@ -442,106 +461,3 @@ class TestCli:
         from repro.analysis.figures import FIGURE_BUILDERS
 
         assert set(cli._FIGURES) == set(FIGURE_BUILDERS)
-
-
-class TestService:
-    @pytest.fixture
-    def service(self):
-        from repro.campaign.service import CampaignService
-
-        svc = CampaignService(port=0).start_background()
-        yield svc
-        svc.stop()
-
-    def _fetch(self, svc, target):
-        from repro.campaign.service import fetch
-
-        return fetch(svc.host, svc.port, target, timeout=120)
-
-    def _poll(self, svc, poll_url, tries=600):
-        import time
-
-        for _ in range(tries):
-            _, body = self._fetch(svc, poll_url)
-            payload = json.loads(body)
-            if payload["status"] in ("done", "failed"):
-                return payload
-            time.sleep(0.05)
-        raise AssertionError(f"job never finished: {payload}")
-
-    def test_health_and_figure_list(self, service):
-        status, body = self._fetch(service, "/healthz")
-        assert status == 200 and json.loads(body) == {"ok": True}
-        status, body = self._fetch(service, "/v1/figures")
-        assert status == 200 and "fig8" in json.loads(body)["figures"]
-
-    def test_cold_then_warm_run_query(self, service):
-        target = "/v1/run/BP?policy=baseline&scale=TINY"
-        status, body = self._fetch(service, target)
-        assert status == 202
-        accepted = json.loads(body)
-        assert accepted["poll"] == f"/v1/jobs/{accepted['job']}"
-        done = self._poll(service, accepted["poll"])
-        assert done["status"] == "done"
-        assert done["result"] == "/v1/run/BP?policy=baseline&scale=TINY"
-
-        # Warm now: answered without touching the simulator.
-        simulator.stats["runs"] = 0
-        status, body = self._fetch(service, target)
-        assert status == 200
-        payload = json.loads(body)
-        assert payload["workload"] == "BP" and "result" in payload
-        assert simulator.stats["runs"] == 0
-
-    def test_warm_hit_from_pre_seeded_cache(self, service):
-        # Seed via the campaign driver, then the very first HTTP query
-        # must be warm — no job, no simulation.
-        CampaignDriver(small_spec(policies=("baseline",))).run()
-        simulator.stats["runs"] = 0
-        status, body = self._fetch(
-            service, "/v1/run/BP?policy=baseline&scale=TINY"
-        )
-        assert status == 200 and len(body) > 0
-        assert simulator.stats["runs"] == 0
-
-    def test_identical_cold_requests_deduplicate(self, service):
-        target = "/v1/run/BFS?policy=baseline&scale=TINY"
-        _, first = self._fetch(service, target)
-        _, second = self._fetch(service, target)
-        assert json.loads(first)["job"] == json.loads(second)["job"]
-        assert self._poll(service, json.loads(first)["poll"])["status"] == "done"
-
-    def test_errors(self, service):
-        assert self._fetch(service, "/v1/figure/nope")[0] == 400
-        assert self._fetch(service, "/v1/run/NOPE")[0] == 400
-        assert self._fetch(service, "/v1/run/BP?policy=warp")[0] == 400
-        assert self._fetch(service, "/v1/run/BP?scale=HUGE")[0] == 400
-        assert self._fetch(service, "/v1/jobs/j99999")[0] == 404
-        assert self._fetch(service, "/nothing/here")[0] == 404
-
-    def test_stats_endpoint(self, service):
-        status, body = self._fetch(service, "/v1/stats")
-        assert status == 200
-        payload = json.loads(body)
-        assert {"requests", "jobs", "result_cache", "simulator"} <= set(payload)
-
-
-class TestServeCliWiring:
-    def test_serve_subcommand_parses(self):
-        # Parsing only — running would block on serve_forever.
-        parser_error = None
-        try:
-            args = cli._build_parser().parse_args(
-                ["serve", "--host", "127.0.0.1", "--port", "0"]
-            )
-        except SystemExit as exc:  # pragma: no cover - parse failure
-            parser_error = exc
-        assert parser_error is None
-        assert args.command == "serve" and args.port == 0
-
-    def test_service_is_exported(self):
-        from repro.campaign import CampaignService
-
-        assert isinstance(CampaignService, type)
-        with pytest.raises(ReproError):
-            raise SimulationDenied("exported and raisable")

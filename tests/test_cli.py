@@ -66,6 +66,13 @@ class TestSuite:
         assert main(["suite", "--scale", "TINY", "--resume"]) == 2
         assert "--resume requires --manifest" in capsys.readouterr().err
 
+    def test_malformed_jobs_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        assert main(["suite", "--scale", "TINY"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_JOBS must be an integer")
+        assert "Traceback" not in err
+
 
 class TestFigure:
     def test_sec66(self, capsys):
@@ -81,6 +88,13 @@ class TestFigure:
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
+
+    def test_malformed_scale_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "HUGE")
+        assert main(["figure", "fig8"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: REPRO_BENCH_SCALE must be one of TINY")
+        assert "'HUGE'" in err and "Traceback" not in err
 
 
 class TestInspect:
@@ -101,3 +115,9 @@ class TestNoCommand:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_serve_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err

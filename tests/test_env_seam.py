@@ -50,17 +50,6 @@ class TestEnvFlag:
 class TestReroutedKnobs:
     """Each consumer that moved onto the seam keeps its old behaviour."""
 
-    def test_lockstep_enabled(self, monkeypatch):
-        from repro.core.gridrun import lockstep_enabled
-
-        monkeypatch.delenv("REPRO_NO_GRID", raising=False)
-        assert lockstep_enabled() is True
-        monkeypatch.setenv("REPRO_NO_GRID", "1")
-        assert lockstep_enabled() is False
-        # Pre-seam quirk: only the exact lowercase spellings disable it.
-        monkeypatch.setenv("REPRO_NO_GRID", "TRUE")
-        assert lockstep_enabled() is True
-
     def test_cache_enabled(self, monkeypatch):
         from repro.core.result_cache import enabled
 
@@ -78,14 +67,15 @@ class TestReroutedKnobs:
         assert cache_dir() == tmp_path
 
     def test_default_jobs(self, monkeypatch):
-        from repro.core.parallel import default_jobs
+        from repro.core.supervisor import default_jobs
+        from repro.errors import ConfigError
 
         monkeypatch.setenv("REPRO_JOBS", " 3 ")
         assert default_jobs() == 3
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert default_jobs() == 1
         monkeypatch.setenv("REPRO_JOBS", "two")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="REPRO_JOBS"):
             default_jobs()
 
     def test_supervisor_config_from_env(self, monkeypatch):

@@ -16,6 +16,7 @@ from repro.analysis.figures import (
     figure6,
     section66,
 )
+from repro.errors import ConfigError
 from repro.workloads.suite import SUITE_ORDER
 
 
@@ -49,7 +50,7 @@ class TestDefaultScale:
 
     def test_bad_value_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "HUGE")
-        with pytest.raises(KeyError):
+        with pytest.raises(ConfigError, match="REPRO_BENCH_SCALE must be one of"):
             default_scale()
 
 

@@ -6,8 +6,7 @@ bit-identical to running each variant's policies sequentially through
 its own ``WorkloadRunner`` — the scalar ``Simulator`` stays the
 reference implementation. On top of that: deduplicated lanes replay
 their allocation-table side effects, faulted lanes evict to scalar
-replay without touching the rest of the grid, and ``REPRO_NO_GRID``
-forces the scalar path outright.
+replay without touching the rest of the grid.
 
 Set ``REPRO_FULL_GRID=1`` to also run the full 70-point Figure-8 SMALL
 grid equivalence check (several minutes; run before perf-sensitive
@@ -24,9 +23,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import TraceScale, WorkloadRunner, ndp_config
-from repro.core import gridrun
-from repro.core.parallel import SuiteJob, execute_job
 from repro.core.policies import BASELINE, FIGURE8_GRID, IDEAL_NDP, NDP_CTRL_ORACLE
+from repro.core.supervisor import SuiteJob, execute_job
 from repro.workloads.suite import SUITE_ORDER
 
 GRID_POLICIES = (BASELINE,) + FIGURE8_GRID + (NDP_CTRL_ORACLE, IDEAL_NDP)
@@ -116,23 +114,6 @@ class TestBitIdentity:
 
 
 class TestEngagement:
-    def test_kill_switch_forces_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_GRID", "1")
-        assert not gridrun.lockstep_enabled()
-
-        def boom(*args, **kwargs):
-            raise AssertionError("REPRO_NO_GRID must bypass the grid engine")
-
-        monkeypatch.setattr(gridrun, "run_grid", boom)
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        runner = WorkloadRunner("SP", scale=TraceScale.TINY)
-        got = runner.run_grid((BASELINE,) + FIGURE8_GRID[:1])
-        expected = _scalar_reference(
-            "SP", TraceScale.TINY, 0, (BASELINE,) + FIGURE8_GRID[:1]
-        )
-        for label, result in expected.items():
-            assert got[label] == result
-
     def test_execute_job_routes_multi_policy_jobs_to_grid(self, monkeypatch):
         calls = []
         original = WorkloadRunner.run_grid

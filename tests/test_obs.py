@@ -230,3 +230,29 @@ class TestLinkChecker:
             [sys.executable, str(script)], capture_output=True, text=True
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_missing_tools_path_fails(self, tmp_path):
+        """A copy of the checker treats its own tree as the repo: a doc
+        naming an existing tools/ file passes, a missing one fails."""
+        import shutil
+        import subprocess
+        import sys
+
+        script = Path(__file__).parent.parent / "tools" / "check_links.py"
+        (tmp_path / "tools").mkdir()
+        shutil.copy(script, tmp_path / "tools" / "check_links.py")
+        readme = tmp_path / "README.md"
+        readme.write_text("Run `python tools/check_links.py` first.\n")
+
+        def run():
+            return subprocess.run(
+                [sys.executable, str(tmp_path / "tools" / "check_links.py")],
+                capture_output=True,
+                text=True,
+            )
+
+        assert run().returncode == 0
+        readme.write_text("Then `python tools/gone.py --all`.\n")
+        proc = run()
+        assert proc.returncode == 1
+        assert "README.md:1: missing file -> tools/gone.py" in proc.stderr

@@ -1,4 +1,4 @@
-"""Tests for the parallel suite runner (repro.core.parallel).
+"""Tests for parallel suite execution (repro.core.supervisor).
 
 The contract: serial and parallel execution are bit-identical, the
 worker count honors ``REPRO_JOBS``, and pickling-hostile payloads fall
@@ -11,13 +11,14 @@ import pytest
 
 from repro.config import SystemConfig, ndp_config
 from repro.core.experiment import run_suite
-from repro.core.parallel import SuiteJob, default_jobs, execute_job, run_jobs
 from repro.core.policies import (
     NDP_CTRL_BMAP,
     NDP_CTRL_TMAP,
     NDP_NOCTRL_BMAP,
 )
 from repro.core.simulator import Simulator
+from repro.core.supervisor import SuiteJob, default_jobs, execute_job, run_supervised
+from repro.errors import ConfigError
 from repro.trace.generator import TraceScale
 
 POLICIES = (NDP_CTRL_BMAP, NDP_CTRL_TMAP, NDP_NOCTRL_BMAP)
@@ -41,7 +42,7 @@ class TestDefaultJobs:
 
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="REPRO_JOBS"):
             default_jobs()
 
     def test_default_is_cpu_count(self, monkeypatch):
@@ -76,18 +77,19 @@ class TestSerialParallelEquality:
         """One job simulates all of a workload's policies against the
         same trace: warp_instructions agree across policies (the
         speedup_over() precondition)."""
-        (job_results,) = run_jobs(
+        (outcome,) = run_supervised(
             [SuiteJob("SP", POLICIES, TraceScale.TINY, 0)], n_jobs=1
         )
-        counts = {r.warp_instructions for r in job_results.values()}
+        counts = {r.warp_instructions for r in outcome.results.values()}
         assert len(counts) == 1
 
 
 class TestFallbacks:
     def test_single_job_runs_inline(self, no_persistent_cache):
         job = SuiteJob("SP", (NDP_CTRL_BMAP,), TraceScale.TINY, 0)
-        (results,) = run_jobs([job], n_jobs=4)  # 1 job -> no pool
-        assert results[NDP_CTRL_BMAP.label].cycles > 0
+        (outcome,) = run_supervised([job], n_jobs=4)  # 1 job -> no pool
+        assert outcome.ran_inline
+        assert outcome.results[NDP_CTRL_BMAP.label].cycles > 0
 
     def test_unpicklable_job_falls_back_to_serial(self, no_persistent_cache):
         class LocalConfig(SystemConfig):
@@ -100,9 +102,9 @@ class TestFallbacks:
             0,
             ndp_configuration=LocalConfig(),
         )
-        results = run_jobs([job, job], n_jobs=2)
-        assert len(results) == 2
-        assert results[0] == results[1]
+        outcomes = run_supervised([job, job], n_jobs=2)
+        assert [o.ok and o.ran_inline for o in outcomes] == [True, True]
+        assert outcomes[0].results == outcomes[1].results
 
     def test_execute_job_runs_every_policy(self, no_persistent_cache):
         job = SuiteJob("SP", POLICIES, TraceScale.TINY, 0)

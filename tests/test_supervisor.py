@@ -17,10 +17,10 @@ import pytest
 from repro.config import SystemConfig
 from repro.core import manifest as manifest_mod
 from repro.core.experiment import run_suite, run_suite_supervised
-from repro.core.parallel import SuiteJob
 from repro.core.policies import NDP_CTRL_BMAP
 from repro.core.supervisor import (
     JobFailure,
+    SuiteJob,
     SupervisorConfig,
     run_supervised,
 )
