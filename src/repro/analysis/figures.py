@@ -13,7 +13,10 @@ scales track the paper more closely at the price of run time.
 Every timing driver submits its simulations through
 :func:`repro.core.experiment.run_suite`, which fans out across worker
 processes (``REPRO_JOBS``) and reuses the persistent result cache
-(``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE``); see docs/PERFORMANCE.md.
+(``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE``); the parameter sweeps
+(Figures 11-13, Section 6.5) pass all their configurations as one
+``variants`` call, so each workload's trace is built once and its
+baseline simulated once per sweep; see docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -322,13 +325,13 @@ def warp_capacity_sweep(
     seed: int = 0,
 ) -> Dict[int, SuiteResults]:
     scale = scale or default_scale()
-    sweeps: Dict[int, SuiteResults] = {}
-    for multiplier in multipliers:
-        config = ndp_config(warp_capacity_multiplier=multiplier)
-        sweeps[multiplier] = run_suite(
-            (NDP_CTRL_TMAP,), scale=scale, seed=seed, ndp_configuration=config
-        )
-    return sweeps
+    sweep = run_suite(
+        (NDP_CTRL_TMAP,),
+        scale=scale,
+        seed=seed,
+        variants=[ndp_config(warp_capacity_multiplier=m) for m in multipliers],
+    )
+    return dict(zip(multipliers, sweep))
 
 
 def figure11(
@@ -378,13 +381,17 @@ def figure12(
 
 def figure13(scale: Optional[TraceScale] = None, seed: int = 0) -> FigureResult:
     scale = scale or default_scale()
-    rows: Dict[str, Dict[str, float]] = {}
-    for ratio, label in ((2.0, "2x internal BW"), (1.0, "1x internal BW")):
-        config = ndp_config(internal_bandwidth_ratio=ratio)
-        results = run_suite(
-            (NDP_CTRL_TMAP,), scale=scale, seed=seed, ndp_configuration=config
-        )
-        rows[label] = suite_speedups(results, NDP_CTRL_TMAP.label)
+    ratios = {"2x internal BW": 2.0, "1x internal BW": 1.0}
+    sweep = run_suite(
+        (NDP_CTRL_TMAP,),
+        scale=scale,
+        seed=seed,
+        variants=[ndp_config(internal_bandwidth_ratio=r) for r in ratios.values()],
+    )
+    rows = {
+        label: suite_speedups(results, NDP_CTRL_TMAP.label)
+        for label, results in zip(ratios, sweep)
+    }
     return FigureResult(
         figure_id="Figure 13",
         title="Speedup with different internal bandwidth in memory stacks "
@@ -404,13 +411,16 @@ def section65(
     seed: int = 0,
 ) -> FigureResult:
     scale = scale or default_scale()
-    rows: Dict[str, Dict[str, float]] = {}
-    for ratio in ratios:
-        config = ndp_config(cross_stack_ratio=ratio)
-        results = run_suite(
-            (NDP_CTRL_TMAP,), scale=scale, seed=seed, ndp_configuration=config
-        )
-        rows[f"cross-stack {ratio}x"] = suite_speedups(results, NDP_CTRL_TMAP.label)
+    sweep = run_suite(
+        (NDP_CTRL_TMAP,),
+        scale=scale,
+        seed=seed,
+        variants=[ndp_config(cross_stack_ratio=ratio) for ratio in ratios],
+    )
+    rows = {
+        f"cross-stack {ratio}x": suite_speedups(results, NDP_CTRL_TMAP.label)
+        for ratio, results in zip(ratios, sweep)
+    }
     return FigureResult(
         figure_id="Section 6.5",
         title="Speedup vs. cross-stack link bandwidth (ratio of the "

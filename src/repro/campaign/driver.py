@@ -10,9 +10,12 @@ into the minimum set of supervised jobs:
    manifest (:mod:`repro.core.manifest`) is *resumed* — restored from
    the manifest's inline results, which works even with the cache
    disabled or invalidated;
-3. what is left is grouped one job per (workload, scale, seed, config)
-   — so each trace is built once and shared across that group's
-   policies — and dispatched through the supervised executor
+3. what is left is grouped one job per (workload, scale, seed) and
+   trace fingerprint: named configs that generate the same trace ride
+   one job as variants, so each trace is built once and shared across
+   that group's configs and policies (and lanes the configs cannot tell
+   apart, such as the baseline, simulate once) — and dispatched
+   through the supervised executor
    (:func:`repro.core.supervisor.run_supervised`): per-job timeouts,
    retries, structured failures, and a manifest line appended as each
    outcome lands.
@@ -39,8 +42,8 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..config import SystemConfig, baseline_config, env_text
+from ..core import gridrun, result_cache
 from ..core import manifest as manifest_mod
-from ..core import result_cache
 from ..core.policies import POLICIES_BY_LABEL
 from ..core.results import SimulationResult
 from ..core.supervisor import (
@@ -150,8 +153,8 @@ class CampaignReport:
 
 
 #: One trace-sharing group of pending points: every point with the same
-#: (workload, scale, seed, config) becomes one supervised job.
-_GroupKey = Tuple[str, str, int, str]  # (workload, scale name, seed, config)
+#: (workload, scale, seed, trace fingerprint) becomes one supervised job.
+_GroupKey = Tuple[str, str, int, str]  # (workload, scale name, seed, fingerprint)
 
 
 class CampaignDriver:
@@ -168,6 +171,10 @@ class CampaignDriver:
         self._base_config = baseline_config()
         self._configs: Dict[str, SystemConfig] = {
             config.name: config.resolve() for config in spec.configs
+        }
+        self._fingerprints: Dict[str, str] = {
+            name: gridrun.trace_fingerprint(config)
+            for name, config in self._configs.items()
         }
 
     # -- shared classification machinery -------------------------------
@@ -311,41 +318,37 @@ class CampaignDriver:
                 point.workload,
                 point.scale.name,
                 point.seed,
-                point.config,
+                self._fingerprints[point.config],
             )
             groups.setdefault(group, []).append(point)
 
         pending: List[SuiteJob] = []
-        # Manifest job key -> FIFO of extra-field dicts. A list, not a
-        # single dict: two *named* configs may resolve to the identical
-        # SystemConfig (same job key, identical results), and each of
-        # their groups must still get a manifest entry annotated with
-        # its own config name or the roll-up loses a table.
-        extras: Dict[str, List[Dict]] = {}
-        points_by_group: Dict[_GroupKey, List[CampaignPoint]] = {}
+        # Per group: every named config it covers, with the position of
+        # its variant in the job. Two named configs may resolve to the
+        # identical SystemConfig: they share one variant, and each still
+        # gets a manifest entry annotated with its own name or the
+        # roll-up loses a table.
+        members: Dict[_GroupKey, Dict[str, int]] = {}
         for group, group_points in groups.items():
-            workload, scale_name, seed, config_name = group
+            variants: List[SystemConfig] = []
+            named: Dict[str, int] = {}
+            for point in group_points:
+                config = self._configs[point.config]
+                if config not in variants:
+                    variants.append(config)
+                named.setdefault(point.config, variants.index(config))
+            labels = dict.fromkeys(point.policy for point in group_points)
             first = group_points[0]
             pending.append(
                 SuiteJob(
-                    workload=workload,
-                    policies=tuple(
-                        POLICIES_BY_LABEL[p.policy] for p in group_points
-                    ),
+                    workload=first.workload,
+                    policies=tuple(POLICIES_BY_LABEL[label] for label in labels),
                     scale=first.scale,
-                    seed=seed,
-                    ndp_configuration=self._configs[config_name],
+                    seed=first.seed,
+                    variants=tuple(variants),
                 )
             )
-            extras.setdefault(self._point_job_key(first), []).append(
-                {
-                    "campaign": self.spec.name,
-                    "scale": scale_name,
-                    "seed": seed,
-                    "config": config_name,
-                }
-            )
-            points_by_group[group] = group_points
+            members[group] = named
 
         manifest = manifest_mod.RunManifest(
             self.manifest_path,
@@ -358,21 +361,34 @@ class CampaignDriver:
         )
 
         def on_outcome(outcome: JobOutcome) -> None:
-            # Every pending job carries its resolved NDP configuration,
-            # so the manifest key is recomputable from the outcome alone
-            # (the hook runs in completion order; no index to rely on).
-            key = manifest_mod.job_key(
-                outcome.job.workload,
-                outcome.job.scale,
-                outcome.job.seed,
-                outcome.job.ndp_configuration,
-                self._base_config,
+            # The hook runs in completion order, so the job's group is
+            # recomputed from the job itself: one manifest entry per
+            # named config, under that config's own job key.
+            job = outcome.job
+            group: _GroupKey = (
+                job.workload,
+                job.scale.name,
+                job.seed,
+                gridrun.trace_fingerprint(job.variants[0]),
             )
-            # Jobs sharing a key are content-identical, so attributing
-            # this outcome to whichever of their extras is next in line
-            # is exact, not approximate.
-            queue = extras.get(key)
-            manifest.record(key, outcome, extra=queue.pop(0) if queue else None)
+            for config_name, variant in members[group].items():
+                manifest.record(
+                    manifest_mod.job_key(
+                        job.workload,
+                        job.scale,
+                        job.seed,
+                        self._configs[config_name],
+                        self._base_config,
+                    ),
+                    outcome,
+                    variant=variant,
+                    extra={
+                        "campaign": self.spec.name,
+                        "scale": job.scale.name,
+                        "seed": job.seed,
+                        "config": config_name,
+                    },
+                )
 
         supervisor_config = SupervisorConfig.from_env(
             timeout=job_timeout, max_retries=max_retries
@@ -391,16 +407,15 @@ class CampaignDriver:
         # cache: idempotent, and covers crashed workers' siblings). The
         # returned outcome list is submission-ordered, i.e. parallel to
         # the group list the jobs were built from.
-        for group, outcome in zip(points_by_group, report.outcomes):
-            group_points = points_by_group[group]
+        for (group, group_points), outcome in zip(groups.items(), report.outcomes):
             if not outcome.ok:
                 if outcome.failure is not None:
                     report.failures.append(outcome.failure)
                 report.failed_points.extend(group_points)
                 continue
-            job_results = outcome.results or {}
+            job_results = outcome.results or ()
             for point in group_points:
-                result = job_results[point.policy]
+                result = job_results[members[group][point.config]][point.policy]
                 report.results[point.point_id] = result
                 report.executed += 1
                 if result_cache.enabled():

@@ -325,18 +325,24 @@ def _suite_policies(
     return tuple(ordered)
 
 
+SuiteResults = Dict[str, Dict[str, SimulationResult]]
+
+
 @dataclass
 class SuiteRunReport:
     """What a supervised suite run produced.
 
     ``results`` holds every completed point (possibly partial when jobs
-    failed); ``failures`` the structured per-job failures; ``outcomes``
-    every :class:`~repro.core.supervisor.JobOutcome` in submission
-    order; ``resumed`` counts policy results restored from the manifest
-    rather than simulated or cache-loaded.
+    failed) as ``{workload: {policy_label: result}}`` — or, for a run
+    given ``variants``, one such dict per variant, in order; a workload
+    whose job failed is absent from every variant. ``failures`` holds
+    the structured per-job failures; ``outcomes`` every
+    :class:`~repro.core.supervisor.JobOutcome` in submission order;
+    ``resumed`` counts policy results restored from the manifest rather
+    than simulated or cache-loaded.
     """
 
-    results: Dict[str, Dict[str, SimulationResult]] = field(default_factory=dict)
+    results: Union[SuiteResults, List[SuiteResults]] = field(default_factory=dict)
     failures: List[JobFailure] = field(default_factory=list)
     outcomes: List[JobOutcome] = field(default_factory=list)
     resumed: int = 0
@@ -359,6 +365,7 @@ def run_suite_supervised(
     manifest_path=None,
     resume: bool = False,
     recorder=None,
+    variants: Optional[Sequence[SystemConfig]] = None,
 ) -> SuiteRunReport:
     """Run every policy on every suite workload under supervision.
 
@@ -369,72 +376,110 @@ def run_suite_supervised(
     killing the suite. ``job_timeout``/``max_retries`` configure the
     supervisor (env fallbacks ``REPRO_JOB_TIMEOUT``/``REPRO_MAX_RETRIES``).
 
+    ``variants`` sweeps NDP configurations (instead of the single
+    ``ndp_configuration``) the way ``WorkloadRunner.run_grid`` does:
+    each workload's job carries every variant, so its trace is built
+    once and lanes the variants cannot tell apart (the baseline) are
+    simulated once; ``report.results`` is then one dict per variant.
+    Every point keeps the cache key and manifest key a one-variant run
+    of its configuration would use.
+
     With ``manifest_path``, every outcome is appended to a JSONL run
-    manifest as it lands; with ``resume=True`` the manifest is read
-    first and points it records as completed are restored instead of
-    re-run (``report.resumed`` counts them) — only missing or failed
-    points execute. A ``recorder`` with a ``job`` hook (e.g.
-    :class:`repro.obs.TraceRecorder`) receives one job-lifecycle event
-    per outcome.
+    manifest as it lands (one entry per variant); with ``resume=True``
+    the manifest is read first and points it records as completed are
+    restored instead of re-run (``report.resumed`` counts them) — only
+    missing or failed points execute. A ``recorder`` with a ``job`` hook
+    (e.g. :class:`repro.obs.TraceRecorder`) receives one job-lifecycle
+    event per outcome.
     """
     names = list(workloads) if workloads is not None else list(SUITE_ORDER)
     wanted = _suite_policies(policies, include_baseline)
-    trace_config = ndp_configuration or ndp_config()
+    if variants is None:
+        requested = [ndp_configuration or ndp_config()]
+    elif ndp_configuration is not None:
+        raise ConfigError("pass either ndp_configuration or variants, not both")
+    else:
+        requested = list(variants)
+        if not requested:
+            raise ConfigError("variants must hold at least one configuration")
+    # Equal variants are one set of grid points: run each distinct
+    # configuration once and hand its results to every position.
+    configs: List[SystemConfig] = []
+    for config in requested:
+        if config not in configs:
+            configs.append(config)
     base_config = baseline_config()
+    per_config: List[SuiteResults] = [{name: {} for name in names} for _ in configs]
+    report = SuiteRunReport()
 
-    report = SuiteRunReport(results={name: {} for name in names})
-    results = report.results
+    def point_key(name: str, config: SystemConfig, policy: RunPolicy) -> str:
+        """The result-cache key a one-variant run of ``config`` uses."""
+        return result_cache.cache_key(
+            workload=name,
+            policy_label=policy.label,
+            scale=scale,
+            seed=seed,
+            trace_config=config,
+            run_config=config if policy.offloads else base_config,
+        )
 
+    # Manifest identities are only computed when a manifest is in use:
+    # warm figure queries never pay for them.
+    job_keys: Dict[Tuple[str, int], str] = {}
+    run_id = None
+    if manifest_path:
+        job_keys = {
+            (name, index): manifest_mod.job_key(name, scale, seed, config, base_config)
+            for name in names
+            for index, config in enumerate(configs)
+        }
+        run_id = manifest_mod.sweep_fingerprint(scale, seed, configs, base_config)
     manifest_entries: Dict[str, Dict] = {}
     if resume:
         if not manifest_path:
             raise ConfigError("resume requires a manifest path")
         header, manifest_entries = manifest_mod.load_manifest(manifest_path)
-        expected = manifest_mod.run_fingerprint(scale, seed, trace_config, base_config)
-        if header is not None and header.get("run") not in (None, expected):
+        if header is not None and header.get("run") not in (None, run_id):
             raise ConfigError(
                 f"manifest {manifest_path} belongs to a different run "
-                f"(scale/seed/configuration changed)"
+                f"(scale/seed/configuration variants changed)"
             )
 
     pending: List[SuiteJob] = []
-    job_keys: Dict[str, str] = {}
+    # Per workload: the configs indices its job carries, in job order.
+    carried: Dict[str, Tuple[int, ...]] = {}
     for name in names:
-        key = manifest_mod.job_key(name, scale, seed, trace_config, base_config)
-        job_keys[name] = key
-        restored: Dict[str, SimulationResult] = {}
-        if key in manifest_entries:
-            restored = manifest_mod.completed_results(manifest_entries[key]) or {}
-        missing: List[RunPolicy] = []
-        for policy in wanted:
-            run_config = trace_config if policy.offloads else base_config
-            cached = None
-            if result_cache.enabled():
-                cached = result_cache.load(
-                    result_cache.cache_key(
-                        workload=name,
-                        policy_label=policy.label,
-                        scale=scale,
-                        seed=seed,
-                        trace_config=trace_config,
-                        run_config=run_config,
-                    )
-                )
-            if cached is not None:
-                results[name][policy.label] = cached
-            elif policy.label in restored:
-                results[name][policy.label] = restored[policy.label]
-                report.resumed += 1
-            else:
-                missing.append(policy)
+        missing: Dict[int, List[RunPolicy]] = {}
+        for index, config in enumerate(configs):
+            key = job_keys.get((name, index))
+            restored: Dict[str, SimulationResult] = {}
+            if key in manifest_entries:
+                restored = manifest_mod.completed_results(manifest_entries[key]) or {}
+            answered = per_config[index][name]
+            for policy in wanted:
+                cached = None
+                if result_cache.enabled():
+                    cached = result_cache.load(point_key(name, config, policy))
+                if cached is not None:
+                    answered[policy.label] = cached
+                elif policy.label in restored:
+                    answered[policy.label] = restored[policy.label]
+                    report.resumed += 1
+                else:
+                    missing.setdefault(index, []).append(policy)
         if missing:
+            carried[name] = tuple(missing)
             pending.append(
                 SuiteJob(
                     workload=name,
-                    policies=tuple(missing),
+                    policies=tuple(
+                        policy
+                        for policy in wanted
+                        if any(policy in group for group in missing.values())
+                    ),
                     scale=scale,
                     seed=seed,
-                    ndp_configuration=ndp_configuration,
+                    variants=tuple(configs[index] for index in missing),
                 )
             )
 
@@ -443,9 +488,7 @@ def run_suite_supervised(
         manifest = manifest_mod.RunManifest(
             manifest_path,
             header={
-                "run": manifest_mod.run_fingerprint(
-                    scale, seed, trace_config, base_config
-                ),
+                "run": run_id,
                 "scale": scale.name,
                 "seed": seed,
                 "policies": [policy.label for policy in wanted],
@@ -457,14 +500,16 @@ def run_suite_supervised(
     started = time.monotonic()
 
     def on_outcome(outcome: JobOutcome) -> None:
-        # Streamed per-outcome hooks: manifest line + job-lifecycle
+        # Streamed per-outcome hooks: manifest lines + job-lifecycle
         # event. Runs in the supervising (parent) process.
+        name = outcome.job.workload
         if manifest is not None:
-            manifest.record(job_keys[outcome.job.workload], outcome)
+            for position, index in enumerate(carried[name]):
+                manifest.record(job_keys[name, index], outcome, variant=position)
         if recorder is not None and getattr(recorder, "enabled", False):
             failure = outcome.failure
             recorder.job(
-                workload=outcome.job.workload,
+                workload=name,
                 policies=tuple(p.label for p in outcome.job.policies),
                 status="ok" if outcome.ok else "failed",
                 attempts=outcome.attempts,
@@ -492,31 +537,30 @@ def run_suite_supervised(
             if outcome.failure is not None:
                 report.failures.append(outcome.failure)
             continue
-        job, job_results = outcome.job, outcome.results or {}
-        for policy in job.policies:
-            result = job_results[policy.label]
-            results[job.workload][policy.label] = result
-            # Workers store through their own WorkloadRunner; repeating
-            # the store here covers the serial path and crashed workers'
-            # surviving siblings alike (idempotent either way).
-            if result_cache.enabled():
-                run_config = trace_config if policy.offloads else base_config
-                result_cache.store(
-                    result_cache.cache_key(
-                        workload=job.workload,
-                        policy_label=policy.label,
-                        scale=scale,
-                        seed=seed,
-                        trace_config=trace_config,
-                        run_config=run_config,
-                    ),
-                    result,
-                )
+        name = outcome.job.workload
+        for index, variant_results in zip(carried[name], outcome.results or ()):
+            config = configs[index]
+            answered = per_config[index][name]
+            for policy in outcome.job.policies:
+                if policy.label in answered:
+                    continue  # cache- or manifest-answered before dispatch
+                result = variant_results[policy.label]
+                answered[policy.label] = result
+                # Workers store through their own WorkloadRunner;
+                # repeating the store here covers crashed workers'
+                # surviving siblings too (idempotent either way).
+                if result_cache.enabled():
+                    result_cache.store(point_key(name, config, policy), result)
     # A workload whose every point failed contributes no results; drop
     # its empty dict so callers can treat membership as "has data".
-    for name in names:
-        if not results[name]:
-            del results[name]
+    for results in per_config:
+        for name in names:
+            if not results[name]:
+                del results[name]
+    if variants is None:
+        report.results = per_config[0]
+    else:
+        report.results = [per_config[configs.index(config)] for config in requested]
     return report
 
 
@@ -528,18 +572,22 @@ def run_suite(
     ndp_configuration: Optional[SystemConfig] = None,
     include_baseline: bool = True,
     jobs: Optional[int] = None,
-) -> Dict[str, Dict[str, SimulationResult]]:
+    variants: Optional[Sequence[SystemConfig]] = None,
+) -> Union[SuiteResults, List[SuiteResults]]:
     """Run every policy on every suite workload.
 
     Returns ``{workload: {policy_label: result}}``; the baseline run is
     included under ``"baseline"`` unless ``include_baseline=False``.
+    With ``variants`` (a parameter sweep over NDP configurations) it
+    returns one such dict per variant, mirroring
+    ``WorkloadRunner.run_grid``.
 
     Cached results (see :mod:`repro.core.result_cache`) are returned
     without simulating; the remaining work is grouped into one job per
     workload — so each trace is built once and shared across that
-    workload's policies — and dispatched across ``jobs`` worker
-    processes (default: ``REPRO_JOBS`` / CPU count; serial when 1).
-    Serial and parallel execution produce bit-identical results.
+    workload's variants and policies — and dispatched across ``jobs``
+    worker processes (default: ``REPRO_JOBS`` / CPU count; serial when
+    1). Serial and parallel execution produce bit-identical results.
 
     Strict: raises :class:`~repro.errors.JobExecutionError` if any job
     failed permanently (the supervised engine may retry first, per
@@ -554,6 +602,7 @@ def run_suite(
         ndp_configuration=ndp_configuration,
         include_baseline=include_baseline,
         jobs=jobs,
+        variants=variants,
     )
     if report.failures:
         raise JobExecutionError(report.failures)
@@ -561,7 +610,7 @@ def run_suite(
 
 
 def suite_speedups(
-    results: Dict[str, Dict[str, SimulationResult]], policy_label: str
+    results: SuiteResults, policy_label: str
 ) -> Dict[str, float]:
     """Per-workload speedups plus the suite average (AVG key)."""
     speedups: Dict[str, float] = {}
@@ -578,7 +627,7 @@ def suite_speedups(
 
 
 def suite_ratios(
-    results: Dict[str, Dict[str, SimulationResult]],
+    results: SuiteResults,
     policy_label: str,
     metric: str = "traffic",
 ) -> Dict[str, float]:

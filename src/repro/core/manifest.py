@@ -11,11 +11,12 @@ suite --resume --manifest PATH`` then re-runs only the points that are
 missing or failed (the ``_check_existing_results`` idiom from
 campaign-scale runners).
 
-Entries are keyed by a content hash over the job's identity —
+Entries are keyed by a content hash over one variant's identity —
 workload, scale, seed, and both configuration fingerprints — so a
-manifest can only resume the run that wrote it; re-running a point
-appends a new line and the *last* entry per key wins. A truncated
-trailing line (the crash case) is skipped on load.
+manifest can only resume the run that wrote it, and a job carrying
+several variants (a parameter sweep) writes one entry per variant.
+Re-running a point appends a new line and the *last* entry per key
+wins. A truncated trailing line (the crash case) is skipped on load.
 
 The manifest is deliberately self-contained: results are stored
 inline (via the lossless serialization in
@@ -30,7 +31,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..config import SystemConfig
 from ..errors import ConfigError
@@ -61,6 +62,24 @@ def run_fingerprint(
         "base_config": _config_fingerprint(base_config),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+
+
+def sweep_fingerprint(
+    scale: TraceScale,
+    seed: int,
+    trace_configs: Sequence[SystemConfig],
+    base_config: SystemConfig,
+) -> str:
+    """Identity of a suite run over one or more NDP-configuration
+    variants: a one-variant run keeps its :func:`run_fingerprint` (so
+    existing manifests still resume); a sweep hashes the ordered tuple
+    of its variants' fingerprints, so resuming with a different variant
+    list is refused."""
+    keys = [run_fingerprint(scale, seed, cfg, base_config) for cfg in trace_configs]
+    if len(keys) == 1:
+        return keys[0]
+    canonical = json.dumps(keys, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 
@@ -100,9 +119,16 @@ class RunManifest:
             pass
 
     def record(
-        self, key: str, outcome: JobOutcome, extra: Optional[Dict] = None
+        self,
+        key: str,
+        outcome: JobOutcome,
+        variant: int = 0,
+        extra: Optional[Dict] = None,
     ) -> None:
-        """Append one job outcome (streamed: called as each job lands).
+        """Append one variant of a job outcome (streamed: called as each
+        job lands) — a multi-variant job writes one entry per variant,
+        each under that variant's own :func:`job_key`; a failed job
+        records its failure under every variant's key.
 
         ``extra`` merges additional identifying fields into the entry —
         the campaign driver records scale/seed/config name per entry so
@@ -123,7 +149,7 @@ class RunManifest:
         if outcome.ok and outcome.results is not None:
             entry["results"] = {
                 label: result_to_dict(result)
-                for label, result in outcome.results.items()
+                for label, result in outcome.results[variant].items()
             }
         elif outcome.failure is not None:
             entry["failure"] = outcome.failure.to_dict()

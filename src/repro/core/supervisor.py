@@ -2,11 +2,14 @@
 
 Every paper figure fans out over the workload suite as independent,
 deterministic simulations. A :class:`SuiteJob` is one ``(workload,
-scale, seed, configs)`` combination carrying the policies still to be
-simulated for it: :func:`execute_job` builds the trace once and runs
-every policy against it through
-:class:`repro.core.experiment.WorkloadRunner`, so pool workers and the
-inline path share one code path and are bit-identical by construction.
+scale, seed)`` combination carrying the NDP-configuration variants and
+policies still to be simulated for it (a plain suite is a one-variant
+job; a parameter sweep carries every swept configuration):
+:func:`execute_job` builds the trace once and runs the whole
+variants x policies grid against it through
+:meth:`repro.core.experiment.WorkloadRunner.run_grid`, so pool workers
+and the inline path share one code path and are bit-identical by
+construction.
 Job payloads and results are plain frozen dataclasses, so pickling is
 cheap; traces are never shipped between processes — each worker
 rebuilds its own from the ``(workload, scale, seed)`` triple.
@@ -57,10 +60,10 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..config import SystemConfig, env_text
+from ..config import SystemConfig, env_text, ndp_config
 from ..errors import ConfigError
 from ..guard import check_simulation_allowed
 from ..trace.generator import TraceScale
@@ -73,17 +76,25 @@ DEFAULT_BACKOFF_BASE = 0.1
 DEFAULT_BACKOFF_CAP = 2.0
 
 
+#: What one job produced: ``{policy_label: result}`` per variant, in
+#: the order of :attr:`SuiteJob.variants`.
+JobResults = Tuple[Dict[str, SimulationResult], ...]
+
+
 @dataclass(frozen=True)
 class SuiteJob:
     """One workload's pending simulations: the trace is built once in
-    the worker and shared across every policy of the job."""
+    the worker and shared across every (variant, policy) point of the
+    job. ``variants[0]`` is the configuration the trace is built from;
+    the others share it when their trace fingerprint matches."""
 
     workload: str
     policies: Tuple[RunPolicy, ...]
     scale: TraceScale
     seed: int
-    ndp_configuration: Optional[SystemConfig] = None
-    baseline_configuration: Optional[SystemConfig] = None
+    variants: Tuple[SystemConfig, ...] = field(
+        default_factory=lambda: (ndp_config(),)
+    )
 
 
 def default_jobs() -> int:
@@ -99,30 +110,26 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def execute_job(job: SuiteJob) -> Dict[str, SimulationResult]:
+def execute_job(job: SuiteJob) -> JobResults:
     """Run one job (in a worker or inline): build the workload's trace
-    once, simulate every requested policy against it. Results land in
-    the persistent cache from inside the worker, so even a crashed
-    parent keeps completed work.
-
-    Jobs carrying two or more policies go through the lockstep grid
-    engine (``WorkloadRunner.run_grid`` — bit-identical to sequential
-    runs); single-policy jobs run the scalar engine directly."""
+    once and simulate every (variant, policy) point against it through
+    the lockstep grid engine (``WorkloadRunner.run_grid`` —
+    bit-identical to sequential per-variant runs, and itself falling
+    back to the scalar engine when fewer than two lanes miss). Results
+    land in the persistent cache from inside the worker, so even a
+    crashed parent keeps completed work."""
     from .experiment import WorkloadRunner  # deferred: experiment imports us
 
     runner = WorkloadRunner(
         job.workload,
         scale=job.scale,
         seed=job.seed,
-        ndp_configuration=job.ndp_configuration,
-        baseline_configuration=job.baseline_configuration,
+        ndp_configuration=job.variants[0],
     )
-    if len(job.policies) >= 2:
-        return runner.run_grid(job.policies)
-    return {policy.label: runner.run(policy) for policy in job.policies}
+    return tuple(runner.run_grid(job.policies, variants=job.variants))
 
 
-def _worker_entry(job: SuiteJob) -> Dict[str, SimulationResult]:
+def _worker_entry(job: SuiteJob) -> JobResults:
     """Top-level (picklable) worker function shared by the pool and the
     inline path. The fault-injection hook fires here so injected
     failures behave identically in both."""
@@ -214,7 +221,7 @@ class JobOutcome:
     """Terminal state of one supervised job: results or failure."""
 
     job: SuiteJob
-    results: Optional[Dict[str, SimulationResult]] = None
+    results: Optional[JobResults] = None
     failure: Optional[JobFailure] = None
     attempts: int = 1
     elapsed: float = 0.0

@@ -415,6 +415,54 @@ class TestDriver:
         text = render_manifest_summary(report.manifest_path)
         assert "config=default" in text and "config=alias" in text
 
+    def test_trace_sharing_configs_ride_one_variant_job(self):
+        # Named configs that differ only in fields the trace ignores
+        # (here: cross-stack bandwidth) become one job carrying both as
+        # variants: one trace build, the baseline simulated once, and
+        # still one manifest entry per config under its own job key.
+        from repro.core.experiment import WorkloadRunner
+        from repro.core.manifest import load_manifest_entries
+        from repro.core.policies import BASELINE, NDP_CTRL_TMAP
+
+        spec = CampaignSpec.from_dict(
+            {
+                "name": "sweep",
+                "workloads": ["BP"],
+                "policies": ["baseline", "ctrl+tmap"],
+                "scales": ["TINY"],
+                "seeds": [0],
+                "configs": [
+                    {"name": "default"},
+                    {
+                        "name": "halfbw",
+                        "overrides": {"links.cross_stack_gbps": 20.0},
+                    },
+                ],
+            }
+        )
+        driver = CampaignDriver(spec)
+        report = driver.run()
+        assert report.ok and report.executed == 4
+        (outcome,) = report.outcomes
+        assert len(outcome.job.variants) == 2
+        assert simulator.stats["runs"] == 3  # baseline deduplicated
+        _header, entries = load_manifest_entries(report.manifest_path)
+        assert {e["config"]: e["key"] for e in entries} == {
+            point.config: driver._point_job_key(point) for point in report.points
+        }
+        for point in report.points:
+            runner = WorkloadRunner(
+                "BP",
+                scale=TraceScale.TINY,
+                ndp_configuration=driver._configs[point.config],
+            )
+            expected = [runner.run(p, cache=False) for p in (BASELINE, NDP_CTRL_TMAP)]
+            assert report.result_for(point) == expected[point.policy != "baseline"]
+
+        simulator.stats["runs"] = 0
+        again = CampaignDriver(spec).run()
+        assert again.cache_hits == 4 and simulator.stats["runs"] == 0
+
 
 class TestCli:
     def _write_spec(self, tmp_path, name="clic"):

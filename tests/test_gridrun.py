@@ -8,9 +8,14 @@ reference implementation. On top of that: deduplicated lanes replay
 their allocation-table side effects, faulted lanes evict to scalar
 replay without touching the rest of the grid.
 
+The suite-level sweep (``run_suite(..., variants=...)``: one job per
+workload carrying every configuration) must answer exactly what
+per-configuration ``run_suite`` calls answer, with one trace build per
+workload and the baseline simulated once per workload.
+
 Set ``REPRO_FULL_GRID=1`` to also run the full 70-point Figure-8 SMALL
-grid equivalence check (several minutes; run before perf-sensitive
-changes to the engine).
+grid equivalence check and the four-ratio Section 6.5 SMALL sweep check
+(several minutes; run before perf-sensitive changes to the engine).
 """
 
 from __future__ import annotations
@@ -23,8 +28,18 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import TraceScale, WorkloadRunner, ndp_config
-from repro.core.policies import BASELINE, FIGURE8_GRID, IDEAL_NDP, NDP_CTRL_ORACLE
+from repro.core import experiment
+from repro.core.experiment import run_suite
+from repro.core.policies import (
+    BASELINE,
+    FIGURE8_GRID,
+    IDEAL_NDP,
+    NDP_CTRL_ORACLE,
+    NDP_CTRL_TMAP,
+)
+from repro.core.simulator import Simulator
 from repro.core.supervisor import SuiteJob, execute_job
+from repro.guard import deny_simulation
 from repro.workloads.suite import SUITE_ORDER
 
 GRID_POLICIES = (BASELINE,) + FIGURE8_GRID + (NDP_CTRL_ORACLE, IDEAL_NDP)
@@ -129,22 +144,27 @@ class TestEngagement:
             scale=TraceScale.TINY,
             seed=0,
         )
-        results = execute_job(job)
+        (results,) = execute_job(job)
         assert calls == [(BASELINE.label, FIGURE8_GRID[0].label)]
         assert set(results) == {BASELINE.label, FIGURE8_GRID[0].label}
 
     def test_execute_job_single_policy_stays_scalar(self, monkeypatch):
-        def boom(self, policies, **kwargs):
-            raise AssertionError("single-policy jobs must not use the grid")
+        """Every job goes through ``run_grid``; with a single lane to
+        run, its fallback keeps the job on the scalar engine."""
+        from repro.core import gridrun
 
-        monkeypatch.setattr(WorkloadRunner, "run_grid", boom)
+        def boom(*args, **kwargs):
+            raise AssertionError("single-lane jobs must not use the lockstep engine")
+
+        monkeypatch.setattr(gridrun, "run_grid", boom)
         job = SuiteJob(
             workload="SP",
             policies=(BASELINE,),
             scale=TraceScale.TINY,
             seed=0,
         )
-        assert set(execute_job(job)) == {BASELINE.label}
+        (results,) = execute_job(job)
+        assert set(results) == {BASELINE.label}
 
     def test_warm_grid_builds_no_trace(self, monkeypatch):
         """Every lane probes the persistent cache before the trace is
@@ -187,6 +207,100 @@ class TestEngagement:
         for index in range(2):
             for policy in policies:
                 assert got[index][policy.label] == expected[index][policy.label]
+
+
+def _cross_stack_variants(ratios):
+    return [ndp_config(cross_stack_ratio=ratio) for ratio in ratios]
+
+
+def _per_config_suites(variants, scale, workloads=None):
+    return [
+        run_suite(
+            (NDP_CTRL_TMAP,),
+            scale=scale,
+            workloads=workloads,
+            ndp_configuration=cfg,
+            jobs=1,
+        )
+        for cfg in variants
+    ]
+
+
+class TestSweepIdentity:
+    """``run_suite(..., variants=...)`` against per-configuration
+    ``run_suite`` calls — the shape the Section 6.5 and Figure 11-13
+    drivers switched from."""
+
+    RATIOS = (0.125, 0.5, 1.0)
+    WORKLOADS = ["BFS", "KM", "SP", "LIB"]
+
+    def test_tiny_sweep_matches_per_config_suites(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        variants = _cross_stack_variants(self.RATIOS)
+        counts = {"builds": 0, "runs": 0}
+        build, run = experiment.build_trace, Simulator.run
+
+        def counted_build(*args, **kwargs):
+            counts["builds"] += 1
+            return build(*args, **kwargs)
+
+        def counted_run(self):
+            counts["runs"] += 1
+            return run(self)
+
+        monkeypatch.setattr(experiment, "build_trace", counted_build)
+        monkeypatch.setattr(Simulator, "run", counted_run)
+        sweep = run_suite(
+            (NDP_CTRL_TMAP,),
+            scale=TraceScale.TINY,
+            workloads=self.WORKLOADS,
+            variants=variants,
+            jobs=1,
+        )
+        assert counts == {
+            "builds": len(self.WORKLOADS),
+            "runs": len(self.WORKLOADS) * (1 + len(variants)),
+        }
+        monkeypatch.setattr(experiment, "build_trace", build)
+        monkeypatch.setattr(Simulator, "run", run)
+        assert sweep == _per_config_suites(variants, TraceScale.TINY, self.WORKLOADS)
+
+    def test_warm_sweep_answers_per_config_queries(self):
+        """Every lane is stored under the key a one-configuration run
+        uses, so per-configuration queries (and the sweep itself) are
+        answered from the cache with simulation denied."""
+        variants = _cross_stack_variants(self.RATIOS)
+        workloads = ["SP", "BFS"]
+        sweep = run_suite(
+            (NDP_CTRL_TMAP,),
+            scale=TraceScale.TINY,
+            workloads=workloads,
+            variants=variants,
+        )
+        with deny_simulation():
+            for cfg, expected in zip(variants, sweep):
+                assert expected == run_suite(
+                    (NDP_CTRL_TMAP,),
+                    scale=TraceScale.TINY,
+                    workloads=workloads,
+                    ndp_configuration=cfg,
+                )
+            assert sweep == run_suite(
+                (NDP_CTRL_TMAP,),
+                scale=TraceScale.TINY,
+                workloads=workloads,
+                variants=variants,
+            )
+
+    @pytest.mark.skipif(
+        not os.environ.get("REPRO_FULL_GRID"),
+        reason="four-ratio Section 6.5 SMALL sweep check; set REPRO_FULL_GRID=1",
+    )
+    def test_full_section65_small_sweep(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        variants = _cross_stack_variants((0.125, 0.25, 0.5, 1.0))
+        sweep = run_suite((NDP_CTRL_TMAP,), scale=TraceScale.SMALL, variants=variants)
+        assert sweep == _per_config_suites(variants, TraceScale.SMALL)
 
 
 class TestLaneEviction:

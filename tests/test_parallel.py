@@ -80,7 +80,8 @@ class TestSerialParallelEquality:
         (outcome,) = run_supervised(
             [SuiteJob("SP", POLICIES, TraceScale.TINY, 0)], n_jobs=1
         )
-        counts = {r.warp_instructions for r in outcome.results.values()}
+        (results,) = outcome.results
+        counts = {r.warp_instructions for r in results.values()}
         assert len(counts) == 1
 
 
@@ -89,7 +90,7 @@ class TestFallbacks:
         job = SuiteJob("SP", (NDP_CTRL_BMAP,), TraceScale.TINY, 0)
         (outcome,) = run_supervised([job], n_jobs=4)  # 1 job -> no pool
         assert outcome.ran_inline
-        assert outcome.results[NDP_CTRL_BMAP.label].cycles > 0
+        assert outcome.results[0][NDP_CTRL_BMAP.label].cycles > 0
 
     def test_unpicklable_job_falls_back_to_serial(self, no_persistent_cache):
         class LocalConfig(SystemConfig):
@@ -100,7 +101,7 @@ class TestFallbacks:
             (NDP_CTRL_BMAP,),
             TraceScale.TINY,
             0,
-            ndp_configuration=LocalConfig(),
+            variants=(LocalConfig(),),
         )
         outcomes = run_supervised([job, job], n_jobs=2)
         assert [o.ok and o.ran_inline for o in outcomes] == [True, True]
@@ -108,7 +109,7 @@ class TestFallbacks:
 
     def test_execute_job_runs_every_policy(self, no_persistent_cache):
         job = SuiteJob("SP", POLICIES, TraceScale.TINY, 0)
-        results = execute_job(job)
+        (results,) = execute_job(job)
         assert set(results) == {p.label for p in POLICIES}
 
 

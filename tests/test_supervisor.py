@@ -14,10 +14,10 @@ import json
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, baseline_config, ndp_config
 from repro.core import manifest as manifest_mod
 from repro.core.experiment import run_suite, run_suite_supervised
-from repro.core.policies import NDP_CTRL_BMAP
+from repro.core.policies import NDP_CTRL_BMAP, NDP_CTRL_TMAP
 from repro.core.supervisor import (
     JobFailure,
     SuiteJob,
@@ -109,7 +109,7 @@ class TestHealthyRuns:
         class LocalConfig(SystemConfig):
             """Defined in the test body: unpicklable by reference."""
 
-        hostile = _job("SP", ndp_configuration=LocalConfig())
+        hostile = _job("SP", variants=(LocalConfig(),))
         friendly = _job("RD")
         outcomes = run_supervised([hostile, friendly], n_jobs=2)
         by_name = {o.job.workload: o for o in outcomes}
@@ -292,6 +292,93 @@ class TestManifestAndResume:
     def test_load_manifest_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             manifest_mod.load_manifest(str(tmp_path / "absent.jsonl"))
+
+
+#: Two Section 6.5 cross-stack bandwidth ratios: one supervised job per
+#: workload carries both.
+SWEEP = (ndp_config(cross_stack_ratio=0.25), ndp_config(cross_stack_ratio=1.0))
+
+
+def _sweep(manifest_path=None, resume=False, variants=SWEEP, **kwargs):
+    return run_suite_supervised(
+        (NDP_CTRL_TMAP,),
+        scale=TraceScale.TINY,
+        workloads=["SP", "RD", "BP"],
+        jobs=2,
+        variants=variants,
+        manifest_path=str(manifest_path) if manifest_path else None,
+        resume=resume,
+        **kwargs,
+    )
+
+
+def _job_keys(name, variants=SWEEP):
+    return [
+        manifest_mod.job_key(name, TraceScale.TINY, 0, cfg, baseline_config())
+        for cfg in variants
+    ]
+
+
+class TestVariantSweeps:
+    def test_job_fault_fails_the_workload_in_every_variant(
+        self, no_persistent_cache, monkeypatch, tmp_path
+    ):
+        """A fault injected at ``job/SP`` fails SP's one job, which
+        carries every variant: SP is missing from every variant and
+        recorded failed under every variant's manifest key, the other
+        workloads match a clean sweep bit for bit, and a resume re-runs
+        only SP's job."""
+        clean = _sweep()
+        path = tmp_path / "sweep.jsonl"
+        monkeypatch.setenv("REPRO_FAULTS", "raise@job/SP")
+        broken = _sweep(path, max_retries=0)
+        assert [f.workload for f in broken.failures] == ["SP"]
+        assert len(broken.results) == len(SWEEP)
+        for got, expected in zip(broken.results, clean.results):
+            assert "SP" not in got
+            assert got == {k: v for k, v in expected.items() if k != "SP"}
+        _header, entries = manifest_mod.load_manifest(path)
+        for key in _job_keys("SP"):
+            assert entries[key]["status"] == "failed"
+
+        monkeypatch.delenv("REPRO_FAULTS")
+        healed = _sweep(path, resume=True, max_retries=0)
+        assert [o.job.workload for o in healed.outcomes] == ["SP"]
+        assert healed.ok and healed.results == clean.results
+
+    def test_manifest_records_each_variant_under_its_job_key(
+        self, no_persistent_cache, tmp_path
+    ):
+        """One entry per (workload, variant), keyed exactly as a
+        one-variant run of that configuration keys it."""
+        path = tmp_path / "sweep.jsonl"
+        report = _sweep(path)
+        _header, entries = manifest_mod.load_manifest(path)
+        for name in ("SP", "RD", "BP"):
+            for key, results in zip(_job_keys(name), report.results):
+                restored = manifest_mod.completed_results(entries[key])
+                assert restored == results[name]
+
+    def test_resume_with_other_variants_is_refused(
+        self, no_persistent_cache, tmp_path
+    ):
+        path = tmp_path / "sweep.jsonl"
+        _sweep(path)
+        again = _sweep(path, resume=True)
+        assert again.outcomes == [] and again.resumed == 2 * 3 * 2
+        for variants in (
+            SWEEP[:1],
+            SWEEP[::-1],
+            (SWEEP[0], ndp_config(cross_stack_ratio=0.5)),
+        ):
+            with pytest.raises(ConfigError):
+                _sweep(path, resume=True, variants=variants)
+
+    def test_variants_and_ndp_configuration_are_exclusive(self):
+        with pytest.raises(ConfigError):
+            _sweep(ndp_configuration=SWEEP[0])
+        with pytest.raises(ConfigError):
+            _sweep(variants=())
 
 
 class TestJobEvents:
