@@ -1,17 +1,19 @@
-"""Lockstep grid engine cold-run benchmark (docs/PERFORMANCE.md §5).
+"""Grid-run cold benchmark (docs/PERFORMANCE.md §5).
 
 Not one of the paper's figures: this is the tracked perf baseline for
-the lockstep grid engine (``repro.core.gridrun``) — the default path
-for every multi-policy cold run. Two scenarios, both on the BFS SMALL
-trace with results asserted bit-identical to the scalar engine:
+the grid driver (``repro.core.gridrun``) — the default path for every
+multi-policy cold run. Every grid lane that simulates runs the scalar
+``Simulator``; what the grid adds is one trace build per workload and
+lane deduplication. Two scenarios, both on the BFS SMALL trace with
+results asserted bit-identical to the scalar reference:
 
 * **policy grid** — the 7-policy Figure-8 job shape (baseline, the
   four Figure-8 points, ctrl+oracle, ideal+bmap) on one configuration,
-  the shape ``execute_job`` routes through the grid engine.
+  the shape ``execute_job`` routes through the grid driver.
 * **variant grid** — the same 7 policies crossed with 3
   ``channel_busy_threshold`` variants (21 lanes), the
-  policies-x-variants sweep the grid engine exists for; cross-variant
-  lane deduplication carries most of the win here.
+  policies-x-variants sweep shape; cross-variant lane deduplication
+  carries the win here.
 
 Each scenario prints the scalar reference wall time (fresh
 ``WorkloadRunner`` per variant, policies sequential — the pre-grid cold
@@ -122,7 +124,7 @@ def main() -> None:
     )
     args = parser.parse_args()
 
-    print(f"lockstep grid engine, {WORKLOAD} {SCALE.name}, cold run:")
+    print(f"grid run with lane deduplication, {WORKLOAD} {SCALE.name}, cold run:")
     policy_grid = run_scenario("policy grid", [_variant(THRESHOLDS[0])])
     variant_grid = run_scenario(
         "variant grid", [_variant(t) for t in THRESHOLDS]

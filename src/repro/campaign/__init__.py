@@ -5,7 +5,7 @@ Every TOM evaluation is a sweep — workload x configuration x policy x
 seed — and at benchmark-suite scale those sweeps have to be declared,
 cached, resumed, and compared systematically rather than scripted ad
 hoc. This package is that layer, sitting above the supervised executor
-(:mod:`repro.core.supervisor`) and the lockstep grid engine
+(:mod:`repro.core.supervisor`) and the grid driver
 (:mod:`repro.core.gridrun`):
 
 * :mod:`repro.campaign.spec` — :class:`CampaignSpec`, a small

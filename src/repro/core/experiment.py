@@ -71,7 +71,7 @@ class WorkloadRunner:
         self.baseline_configuration = baseline_configuration or baseline_config()
         self._trace: Optional[WorkloadTrace] = None
         self._cache: Dict[str, SimulationResult] = {}
-        # The GridReport of the most recent run_grid lockstep call
+        # The GridReport of the most recent gridrun.run_grid call
         # (None until one runs) — benchmarks and the fault-injection
         # smoke read dedup/eviction counts off it.
         self.last_grid_report: Optional[gridrun.GridReport] = None
@@ -160,7 +160,7 @@ class WorkloadRunner:
         recorder=None,
     ) -> Union[Dict[str, SimulationResult], List[Dict[str, SimulationResult]]]:
         """Run many policies — optionally across NDP-configuration
-        ``variants`` — through the lockstep grid engine
+        ``variants`` — through the grid driver
         (:mod:`repro.core.gridrun`) over one shared trace.
 
         Returns ``{policy_label: result}`` when ``variants`` is None,
@@ -170,11 +170,11 @@ class WorkloadRunner:
         unchanged: every lane probes the persistent cache under the
         exact key :meth:`run` would use — before the trace is built, so
         a fully-warm grid builds nothing — and stores its result back.
-        Grid lanes bypass tracing the same way cache hits do, so an
-        enabled ``recorder`` forces the sequential scalar path. Variants
-        whose configuration would generate a different trace
-        (compiler/message/warp/page fields) are evicted to their own
-        scalar runners.
+        A traced lane must simulate to emit its events, so an enabled
+        ``recorder`` skips deduplication and runs every point through
+        :meth:`run`. Variants whose configuration would generate a
+        different trace (compiler/message/warp/page fields) are evicted
+        to their own scalar runners.
         """
         single = variants is None
         ndp_variants = (

@@ -1,23 +1,13 @@
-"""The lockstep grid engine: batch many grid points over one trace.
+"""The grid driver: run many grid points over one trace, deduplicated.
 
 Every paper figure fans the same workload trace out over a grid of
 (policy, configuration) points, each a fully independent, deterministic
-``Simulator.run()``. Running them one at a time repeats three kinds of
-work per point: the trace build, the address routing of every warp
-access, and — for points whose policies cannot observe the fields that
-differ between them — the entire simulation. This module advances a
-whole grid over ONE trace and shares all three:
+``Simulator.run()``. Running them one at a time repeats two kinds of
+work per point: the trace build and — for points whose policies cannot
+observe the fields that differ between them — the entire simulation.
+This module runs a whole grid over ONE trace and shares both; every
+lane that does simulate runs the one scalar :class:`Simulator`:
 
-* **Trace plans** (:class:`TracePack`): every access's line addresses
-  live in one flat CSR array (:meth:`WorkloadTrace.access_arrays`), so
-  routing a mapping becomes a single vectorized ``stack_of``/
-  ``vault_of`` call over the whole trace — vector widths in the
-  hundred-thousands instead of the ≤32 lanes that made per-access
-  vectorization a loss (docs/PERFORMANCE.md). The resulting per-access
-  stack groups, with DRAM row/bank geometry precomputed per trace, are
-  shared by every lane that uses the same mapping; lanes replay them
-  through the ``*_planned`` DRAM entry points, which book in the exact
-  scalar order, so results stay bit-identical.
 * **Lane deduplication**: a lane's dynamics depend only on the config
   fields its policy can read (the dependency sets next to the readers
   in :mod:`repro.ndp.controller`). Projecting unread fields out of the
@@ -29,27 +19,21 @@ whole grid over ONE trace and shares all three:
   Deduplicated lanes still replay their allocation-table side effects
   (tmap learning marks, oracle candidate marks), so later lanes in the
   same variant observe exactly the state the scalar sequence produces.
-* **Per-lane fallback eviction**: any lane the lockstep path cannot
-  express — or that fails mid-flight, including faults injected at the
-  ``lane/<workload>/<label>`` sites via ``REPRO_FAULTS`` — is replayed
-  on the scalar :class:`Simulator` alone; the rest of the grid is
-  unaffected. The allocation-table mutations are idempotent set-unions,
-  so a partial lane run followed by a scalar replay lands in the same
-  state as a scalar-only run.
+  Oracle lanes share one offline learning outcome per trace
+  (:class:`TracePack`).
+* **Per-lane fallback eviction**: a lane that fails mid-flight —
+  including faults injected at the ``lane/<workload>/<label>`` sites
+  via ``REPRO_FAULTS`` — is replayed on a fresh :class:`Simulator`
+  alone; the rest of the grid is unaffected. The allocation-table
+  mutations are idempotent set-unions, so a partial lane run followed
+  by a scalar replay lands in the same state as a scalar-only run.
 
-The scalar engine remains the reference: every lane's
-:class:`SimulationResult` is bit-identical to running its point on a
-fresh per-variant :class:`~repro.core.experiment.WorkloadRunner`
+Every lane's :class:`SimulationResult` is bit-identical to running its
+point on a fresh per-variant :class:`~repro.core.experiment.WorkloadRunner`
 (asserted over the full Figure-8 SMALL grid in ``tests/test_gridrun.py``).
-Lockstep runs never trace (they bypass observability exactly like
-cache hits do).
-
-Grid lanes inherit the event-engine backend like every other run:
-``_LaneSimulator`` extends :class:`Simulator`, whose
-:class:`~repro.core.system.NDPSystem` builds its engine through
-:func:`repro.accel.make_engine` — so ``REPRO_ENGINE=compiled`` (or
-``repro run --engine compiled``) switches grid runs to the compiled
-core too, with bit-identical lane results.
+Grid runs never trace (they bypass observability exactly like cache
+hits do) and inherit the event-engine backend like every other run,
+so ``REPRO_ENGINE=compiled`` switches grid lanes to the compiled core.
 """
 
 from __future__ import annotations
@@ -58,19 +42,13 @@ import copy
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..config import SystemConfig
 from ..errors import ConfigError
-from ..gpu.warp import CandidateSegment, WarpAccess
+from ..gpu.warp import CandidateSegment
 from ..guard import check_simulation_allowed
 from ..mapping.transparent import TransparentDataMapping, candidate_instances, learn_offline
-from ..memory.address_mapping import (
-    AddressMapping,
-    BaselineMapping,
-    ConsecutiveBitMapping,
-    HybridMapping,
-)
 from ..memory.allocation import MemoryAllocationTable
 from ..ndp.analyzer import LearnedMapping, MemoryMapAnalyzer
 from ..ndp.controller import (
@@ -80,11 +58,9 @@ from ..ndp.controller import (
 )
 from ..testing.faults import maybe_fault
 from ..trace.generator import WorkloadTrace
-from ..utils.bitops import ilog2
-from ..utils.simcore import Acquire, AllOf, Timeout
 from .policies import MappingPolicy, OffloadPolicy, RunPolicy
 from .results import SimulationResult
-from .simulator import _L2_HIT_LATENCY, Simulator
+from .simulator import Simulator
 
 
 def trace_fingerprint(config: SystemConfig) -> str:
@@ -127,7 +103,7 @@ class GridRequest:
 
 @dataclass
 class GridReport:
-    """What one lockstep grid run did: ``results`` in request order,
+    """What one grid run did: ``results`` in request order,
     plus how many lanes actually simulated, how many were deduplicated
     onto an equivalent lane, and which were evicted to scalar replay."""
 
@@ -137,194 +113,17 @@ class GridReport:
     evicted: List[str] = field(default_factory=list)
 
 
-# -- trace pack: shared plans ------------------------------------------------
-
-
-class _Geometry:
-    """Mapping-independent DRAM geometry of every trace line: row index
-    and permuted bank (constant per stack configuration), plus the
-    ideal-colocation vault spread. Values are plain Python ints
-    (``tolist``), exactly what the scalar arithmetic produces."""
-
-    __slots__ = ("rows", "banks", "ideal_vaults", "n_vaults")
-
-    def __init__(self, lines, config: SystemConfig) -> None:
-        stacks = config.stacks
-        line_bits = ilog2(config.messages.cache_line_bytes)
-        row_bits = ilog2(stacks.row_bytes) + stacks.stack_bits + stacks.vault_bits
-        rows = lines >> row_bits
-        self.rows = rows.tolist()
-        self.banks = ((rows ^ (rows >> 4) ^ (rows >> 8)) % stacks.banks_per_vault).tolist()
-        self.n_vaults = stacks.vaults_per_stack
-        self.ideal_vaults = ((lines >> line_bits) % self.n_vaults).tolist()
-
-
-class _Routing:
-    """Whole-trace routing under one address mapping: per-line stack and
-    vault indices plus, per access, the stack groups the scalar
-    ``_group_by_stack`` walk would have produced (first-occurrence
-    order), each carrying its materialized line/vault/row/bank lists and
-    the common vault when the group is single-vault."""
-
-    __slots__ = ("stacks", "vaults", "plans")
-
-    def __init__(self, pack: "TracePack", mapping: AddressMapping, geometry: _Geometry):
-        lines = pack.lines
-        stacks = mapping.stack_of(lines).tolist()
-        vaults = mapping.vault_of(lines).tolist()
-        self.stacks = stacks
-        self.vaults = vaults
-        lines_list = pack.lines_list
-        rows = geometry.rows
-        banks = geometry.banks
-        offsets = pack.offsets_list
-        plans: List[tuple] = []
-        append = plans.append
-        for index in range(len(pack.accesses)):
-            start = offsets[index]
-            end = offsets[index + 1]
-            group_stacks = stacks[start:end]
-            first = group_stacks[0]
-            single = True
-            for stack in group_stacks:
-                if stack != first:
-                    single = False
-                    break
-            if single:
-                append(
-                    (
-                        first,
-                        (
-                            _plan_group(
-                                first,
-                                lines_list[start:end],
-                                vaults[start:end],
-                                rows[start:end],
-                                banks[start:end],
-                            ),
-                        ),
-                    )
-                )
-                continue
-            order: List[int] = []
-            buckets: Dict[int, List[int]] = {}
-            for local, stack in enumerate(group_stacks):
-                bucket = buckets.get(stack)
-                if bucket is None:
-                    buckets[stack] = [local]
-                    order.append(stack)
-                else:
-                    bucket.append(local)
-            groups = []
-            for stack in order:
-                idx = buckets[stack]
-                groups.append(
-                    _plan_group(
-                        stack,
-                        [lines_list[start + j] for j in idx],
-                        [vaults[start + j] for j in idx],
-                        [rows[start + j] for j in idx],
-                        [banks[start + j] for j in idx],
-                    )
-                )
-            append((first, tuple(groups)))
-        self.plans = plans
-
-
-def _plan_group(stack, glines, gvaults, grows, gbanks) -> tuple:
-    """(stack, lines, vaults, rows, banks, common-vault-or-None)."""
-    first = gvaults[0]
-    for vault in gvaults:
-        if vault != first:
-            return (stack, glines, gvaults, grows, gbanks, None)
-    return (stack, glines, gvaults, grows, gbanks, first)
+# -- trace pack: the shared oracle memo --------------------------------------
 
 
 class TracePack:
-    """Everything lanes share over one trace: the flat access arrays,
-    per-geometry DRAM plans, per-mapping routings, the oracle learning
-    outcome, and the per-segment candidate-mark addresses."""
+    """What oracle lanes share over one trace: the offline learning
+    outcome and the per-segment candidate-mark addresses."""
 
     def __init__(self, trace: WorkloadTrace) -> None:
         self.trace = trace
-        arrays = trace.access_arrays()
-        self.accesses: Tuple[WarpAccess, ...] = arrays.accesses
-        self.lines = arrays.lines
-        self.lines_list: List[int] = arrays.lines.tolist()
-        self.offsets_list: List[int] = arrays.offsets.tolist()
-        self._index: Dict[int, int] = {
-            id(access): index for index, access in enumerate(self.accesses)
-        }
-        self._geometries: Dict[tuple, _Geometry] = {}
-        self._routings: Dict[tuple, _Routing] = {}
-        self._stripped: Dict[int, object] = {}
         self._learned: Dict[tuple, LearnedMapping] = {}
         self._rep_marks: Optional[List[List[int]]] = None
-
-    def index_of(self, access: WarpAccess) -> int:
-        return self._index[id(access)]
-
-    def span_of(self, access: WarpAccess) -> Tuple[int, int]:
-        index = self._index[id(access)]
-        return self.offsets_list[index], self.offsets_list[index + 1]
-
-    def geometry_for(self, config: SystemConfig) -> _Geometry:
-        stacks = config.stacks
-        key = (
-            config.messages.cache_line_bytes,
-            stacks.row_bytes,
-            stacks.stack_bits,
-            stacks.vault_bits,
-            stacks.banks_per_vault,
-            stacks.vaults_per_stack,
-        )
-        geometry = self._geometries.get(key)
-        if geometry is None:
-            geometry = _Geometry(self.lines, config)
-            self._geometries[key] = geometry
-        return geometry
-
-    def routing_for(
-        self, mapping: AddressMapping, geometry: _Geometry
-    ) -> Optional[_Routing]:
-        """The shared routing for ``mapping``, or None when the mapping
-        type is unknown (the lane then runs the scalar grouping path)."""
-        key = self._mapping_key(mapping)
-        if key is None:
-            return None
-        key = key + (id(geometry),)
-        routing = self._routings.get(key)
-        if routing is None:
-            routing = _Routing(self, mapping, geometry)
-            self._routings[key] = routing
-        return routing
-
-    @staticmethod
-    def _mapping_key(mapping: AddressMapping) -> Optional[tuple]:
-        base = (mapping.n_stacks, mapping.n_vaults, mapping.line_bits)
-        if type(mapping) is BaselineMapping:
-            return ("base", mapping._folds) + base
-        if type(mapping) is ConsecutiveBitMapping:
-            return ("consec", mapping.position) + base
-        if type(mapping) is HybridMapping:
-            return (
-                "hybrid",
-                mapping.learned.position,
-                mapping.page_bits,
-                tuple(sorted(mapping.candidate_pages)),
-            ) + base
-        return None
-
-    def stripped_entry(self, entry):
-        """``dataclasses.replace(entry, condition=None)`` memoized — the
-        IDEAL policy strips the condition of every candidate instance's
-        metadata entry; the controller treats entries read-only, so one
-        stripped copy per entry is equivalent to one per decision."""
-        stripped = self._stripped.get(id(entry))
-        if stripped is None:
-            stripped = dataclasses.replace(entry, condition=None)
-            self._stripped[id(entry)] = stripped
-        return stripped
 
     def oracle_learned(self, config: SystemConfig) -> LearnedMapping:
         """The offline learning outcome for oracle lanes, computed once
@@ -361,267 +160,6 @@ class TracePack:
                     )
             self._rep_marks = marks
         return marks
-
-
-# -- the lane simulator ------------------------------------------------------
-
-
-class _LaneSimulator(Simulator):
-    """One grid lane: the scalar :class:`Simulator` with its address
-    routing and DRAM geometry read from the shared :class:`TracePack`
-    plans instead of recomputed per access. Every override mirrors its
-    scalar counterpart operation-for-operation (the planned DRAM entry
-    points book in scalar order), so results are bit-identical. Partial
-    off-chip subsets (some-but-not-all lines missed in cache) have no
-    precomputed group split and fall through to the scalar path."""
-
-    def __init__(
-        self,
-        trace: WorkloadTrace,
-        config: SystemConfig,
-        policy: RunPolicy,
-        oracle_position: Optional[int],
-        pack: TracePack,
-        oracle_learned=None,
-    ) -> None:
-        super().__init__(
-            trace, config, policy, oracle_position, oracle_learned=oracle_learned
-        )
-        assert not self._trace_on  # lockstep lanes bypass tracing
-        self._pack = pack
-        self._geom = pack.geometry_for(config)
-        self._routing: Optional[_Routing] = None
-        self._routing_mapping: Optional[AddressMapping] = None
-
-    def _route(self) -> Optional[_Routing]:
-        mapping = self.mapping
-        if mapping is not self._routing_mapping:
-            self._routing = self._pack.routing_for(mapping, self._geom)
-            self._routing_mapping = mapping
-        return self._routing
-
-    # -- main-GPU accesses --------------------------------------------------
-
-    def _main_access(self, sm, access: WarpAccess, learning: bool):
-        lines = access.line_addresses
-        line_ids = access.line_ids(self.line_bits)
-        if access.is_store:
-            sm.l1.store_all(line_ids)
-            self.system.l2.store_all(line_ids)
-            off_chip: Sequence[int] = lines
-        else:
-            miss_lines, miss_ids = sm.l1.load_misses(lines, line_ids)
-            off_chip = []
-            if miss_ids:
-                off_chip, _ = self.system.l2.load_misses(miss_lines, miss_ids)
-                if len(off_chip) < len(miss_lines):  # at least one L2 hit
-                    yield Timeout(_L2_HIT_LATENCY)
-        if not off_chip:
-            return
-
-        if learning:
-            yield from self._pcie_access(off_chip, access)
-            return
-
-        engine = self.system.engine
-        routing = self._route()
-        total = len(off_chip)
-        if routing is not None and total == len(lines):
-            _first, groups = routing.plans[self._pack.index_of(access)]
-            procs = [
-                engine.process(self._planned_gpu_group(group, access, total))
-                for group in groups
-            ]
-            yield AllOf(procs)
-            return
-        groups = self._group_by_stack(off_chip)
-        procs = [
-            engine.process(self._gpu_offchip_group(stack, group, access, total))
-            for stack, group in groups.items()
-        ]
-        yield AllOf(procs)
-
-    def _planned_gpu_group(self, group: tuple, access: WarpAccess, total_lines: int):
-        stack = group[0]
-        n = len(group[1])
-        fabric = self.system.fabric
-        packets = self.system.packets
-        lanes = max(1, round(access.active_lanes * n / total_lines))
-        if access.is_store:
-            yield Acquire(fabric.tx[stack], packets.store_request(n, lanes))
-        else:
-            yield Acquire(fabric.tx[stack], packets.load_request(n))
-        yield from self._planned_dram(stack, group)
-        if access.is_store:
-            yield Acquire(fabric.rx[stack], packets.store_ack(n))
-        else:
-            yield Acquire(fabric.rx[stack], packets.load_reply(n))
-
-    def _planned_dram(self, stack: int, group: tuple):
-        """:meth:`Simulator._dram_service` with routing and geometry
-        read from the plan: same single/batch/scatter split, same
-        booking order, same completion clamping."""
-        _stack, glines, gvaults, grows, gbanks, same_vault = group
-        line_bytes = self.config.messages.cache_line_bytes
-        memory = self.system.stacks[stack]
-        now = self.system.engine.now
-        if len(glines) == 1:
-            completion = memory.service(gvaults[0], glines[0], line_bytes)
-            if completion < now:
-                completion = now
-        elif same_vault is not None:
-            completion = memory.service_batch_planned(
-                same_vault, glines, grows, gbanks, line_bytes
-            )
-            if completion < now:
-                completion = now
-        else:
-            completion = memory.service_scatter_planned(
-                gvaults, grows, gbanks, line_bytes
-            )
-        delay = completion - now
-        if delay > 0:
-            yield Timeout(delay)
-
-    def _destination_for(self, segment: CandidateSegment) -> int:
-        first = segment.accesses[0] if segment.accesses else None
-        if first is None:
-            return 0
-        routing = self._route()
-        if routing is None:
-            return int(self.mapping.stack_of(first.line_addresses[0]))
-        return routing.stacks[self._pack.span_of(first)[0]]
-
-    # -- offload path -------------------------------------------------------
-
-    def _candidate_segment(self, sm, segment: CandidateSegment):
-        if id(segment) in self._learned_instance_ids:
-            return  # executed during the learning pre-pass
-        if not self.policy.offloads:
-            yield from self._run_on_main(sm, segment)
-            return
-
-        entry = self.trace.metadata.lookup(segment.block_id)
-        if self.policy.offload is OffloadPolicy.IDEAL:
-            destination = self._ideal_rr % self.config.stacks.n_stacks
-            self._ideal_rr += 1
-            self.system.controller.decide(
-                self._pack.stripped_entry(entry), destination, None
-            )
-            yield from self._run_offloaded(sm, segment, entry, destination, ideal=True)
-            return
-
-        destination = self._destination_for(segment)
-        decision = self.system.controller.decide(
-            entry, destination, segment.condition_value
-        )
-        yield Timeout(self.config.control.offload_decision_cycles)
-        if decision.offload:
-            yield from self._run_offloaded(sm, segment, entry, destination, ideal=False)
-        else:
-            yield from self._run_on_main(sm, segment)
-
-    def _stack_access(self, stack_sm, home: int, access: WarpAccess, ideal: bool):
-        lines = access.line_addresses
-        line_ids = access.line_ids(self.line_bits)
-        walk_procs = []
-        if self.system.translations is not None and not ideal:
-            walks = self.system.translations[home].translate(lines)
-            engine = self.system.engine
-            walk_procs = [
-                engine.process(self._page_walk(home, walk)) for walk in walks
-            ]
-
-        if access.is_store:
-            stack_sm.l1.store_all(line_ids)
-            off_chip: Sequence[int] = lines
-        else:
-            off_chip, _ = stack_sm.l1.load_misses(lines, line_ids)
-        if walk_procs:
-            yield AllOf(walk_procs)
-        if not off_chip:
-            return
-        total = len(off_chip)
-        full = total == len(lines)
-        if ideal:
-            if full:
-                yield from self._planned_dram_local(home, access)
-            else:
-                yield from self._dram_service_local(home, off_chip)
-            return
-
-        engine = self.system.engine
-        routing = self._route()
-        if routing is not None and full:
-            _first, groups = routing.plans[self._pack.index_of(access)]
-            procs = []
-            for group in groups:
-                if group[0] == home:
-                    procs.append(engine.process(self._planned_dram(home, group)))
-                else:
-                    procs.append(
-                        engine.process(
-                            self._planned_remote_group(home, group, access, total)
-                        )
-                    )
-            yield AllOf(procs)
-            return
-        groups = self._group_by_stack(off_chip)
-        procs = []
-        for stack, group in groups.items():
-            if stack == home:
-                procs.append(engine.process(self._dram_service(home, group)))
-            else:
-                procs.append(
-                    engine.process(
-                        self._remote_group(home, stack, group, access, total)
-                    )
-                )
-        yield AllOf(procs)
-
-    def _planned_dram_local(self, stack: int, access: WarpAccess):
-        """:meth:`Simulator._dram_service_local` off the geometry plan:
-        ideal-mode vault spread precomputed, same walk order."""
-        start, end = self._pack.span_of(access)
-        line_bytes = self.config.messages.cache_line_bytes
-        memory = self.system.stacks[stack]
-        now = self.system.engine.now
-        geom = self._geom
-        if end - start == 1:
-            completion = memory.service(
-                geom.ideal_vaults[start], self._pack.lines_list[start], line_bytes
-            )
-            if completion < now:
-                completion = now
-        else:
-            completion = memory.service_scatter_planned(
-                geom.ideal_vaults[start:end],
-                geom.rows[start:end],
-                geom.banks[start:end],
-                line_bytes,
-            )
-        delay = completion - now
-        if delay > 0:
-            yield Timeout(delay)
-
-    def _planned_remote_group(
-        self, home: int, group: tuple, access: WarpAccess, total: int
-    ):
-        stack = group[0]
-        n = len(group[1])
-        fabric = self.system.fabric
-        packets = self.system.packets
-        lanes = max(1, round(access.active_lanes * n / total))
-        if access.is_store:
-            request = packets.store_request(n, lanes)
-            reply = packets.store_ack(n)
-        else:
-            request = packets.load_request(n)
-            reply = packets.load_reply(n)
-        there, back = fabric.cross_pair(home, stack)
-        yield Acquire(there, request)
-        yield from self._planned_dram(stack, group)
-        yield Acquire(back, reply)
 
 
 # -- lane fingerprinting (deduplication) -------------------------------------
@@ -739,7 +277,7 @@ def run_grid(
     *,
     trace_config: SystemConfig,
 ) -> GridReport:
-    """Run every requested grid point over ``trace`` in lockstep.
+    """Run every requested grid point over ``trace``, deduplicated.
 
     ``trace_config`` is the configuration the trace was built from;
     every request's ``ndp_configuration`` must be trace-compatible with
@@ -774,7 +312,6 @@ def run_grid(
                 variant_trace = dataclasses.replace(
                     trace, allocation_table=_pristine_table(trace.allocation_table)
                 )
-                variant_trace._access_arrays_cache = trace.access_arrays()
             variants.append(
                 _Variant(
                     ndp_configuration=request.ndp_configuration,
@@ -801,11 +338,11 @@ def run_grid(
                     pack, variant, request, run_config, table, memo, report
                 )
             except Exception:
-                # Per-lane eviction: anything the lockstep path cannot
-                # express (or an injected lane fault) falls back to the
-                # scalar engine on the variant's own trace. Allocation
-                # marks are idempotent, so a partial lane run followed
-                # by the scalar replay matches a scalar-only sequence.
+                # Per-lane eviction: a failed lane (or an injected lane
+                # fault) is replayed on a fresh Simulator over the
+                # variant's own trace. Allocation marks are idempotent,
+                # so a partial lane run followed by the replay matches
+                # a scalar-only sequence.
                 report.evicted.append(policy.label)
                 report.results[index] = Simulator(
                     variant.trace, run_config, policy, request.oracle_position
@@ -871,12 +408,11 @@ def _run_lane(
             learned_colocation=None,
         )
 
-    result = _LaneSimulator(
+    result = Simulator(
         variant.trace,
         run_config,
         policy,
         request.oracle_position,
-        pack,
         oracle_learned=oracle_learned,
     ).run()
     report.simulated += 1

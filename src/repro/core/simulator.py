@@ -63,10 +63,10 @@ from .system import NDPSystem
 
 _L2_HIT_LATENCY = 30.0
 
-#: Process-local count of simulations actually executed (the lockstep
-#: grid's lane simulators subclass :class:`Simulator`, so lanes count
-#: too). The campaign skip tests assert this stays at zero on a warm
-#: re-run; like :data:`repro.core.result_cache.stats` it never crosses
+#: Process-local count of simulations actually executed (grid lanes
+#: run this class too, so they count; deduplicated lanes do not). The
+#: campaign skip tests assert this stays at zero on a warm re-run;
+#: like :data:`repro.core.result_cache.stats` it never crosses
 #: process boundaries, so run serially (``REPRO_JOBS=1``) to observe it.
 stats = {"runs": 0}
 
@@ -118,10 +118,10 @@ class Simulator:
             # real mechanism — to the allocations candidates touch,
             # with the baseline mapping elsewhere.
             #
-            # ``oracle_learned`` lets the lockstep grid engine inject a
-            # learning outcome it already computed for this trace (the
-            # analysis is deterministic and table-independent, so the
-            # injected result is bit-identical to recomputing it). The
+            # ``oracle_learned`` lets the grid driver inject a learning
+            # outcome it already computed for this trace (the analysis
+            # is deterministic and table-independent, so the injected
+            # result is bit-identical to recomputing it). The
             # caller then owns the allocation-table candidate marks that
             # ``learn_offline`` would have made as a side effect.
             learned = oracle_learned

@@ -113,9 +113,9 @@ def default_jobs() -> int:
 def execute_job(job: SuiteJob) -> JobResults:
     """Run one job (in a worker or inline): build the workload's trace
     once and simulate every (variant, policy) point against it through
-    the lockstep grid engine (``WorkloadRunner.run_grid`` —
-    bit-identical to sequential per-variant runs, and itself falling
-    back to the scalar engine when fewer than two lanes miss). Results
+    the grid driver (``WorkloadRunner.run_grid`` — bit-identical to
+    sequential per-variant runs, and itself falling back to the
+    runner's own ``run`` when fewer than two lanes miss). Results
     land in the persistent cache from inside the worker, so even a
     crashed parent keeps completed work."""
     from .experiment import WorkloadRunner  # deferred: experiment imports us

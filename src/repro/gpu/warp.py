@@ -47,18 +47,6 @@ class WarpAccess:
     def n_lines(self) -> int:
         return len(self.line_addresses)
 
-    def line_array(self) -> np.ndarray:
-        """The line addresses as a read-only int64 array, built once —
-        the routing fast path hands this straight to the vectorized
-        ``AddressMapping`` calls on every replay of the access."""
-        try:
-            return self._line_array_cache  # type: ignore[attr-defined]
-        except AttributeError:
-            array = np.asarray(self.line_addresses, dtype=np.int64)
-            array.setflags(write=False)
-            object.__setattr__(self, "_line_array_cache", array)
-            return array
-
     def line_ids(self, line_bits: int) -> Tuple[int, ...]:
         """Cache-line ids (address >> line_bits), cached per shift."""
         cache: Dict[int, Tuple[int, ...]] = self._line_ids_cache  # type: ignore[attr-defined]

@@ -16,7 +16,7 @@ Checked at four choke points, outermost first:
   flag, so the dispatch itself must be the barrier);
 * :func:`repro.trace.generator.build_trace` — trace generation is the
   expensive prefix of every scalar simulation;
-* :func:`repro.core.gridrun.run_grid` — the lockstep grid engine;
+* :func:`repro.core.gridrun.run_grid` — the grid driver;
 * :meth:`repro.core.simulator.Simulator.run` — the scalar engine, as
   the final belt-and-braces check.
 

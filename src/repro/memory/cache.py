@@ -159,8 +159,7 @@ class Cache:
 
     def store_all(self, line_ids: Sequence[int]) -> None:
         """:meth:`store_batch` without materializing the hit-flag list —
-        the simulator's write-through store path discards the flags, and
-        both the scalar and the lockstep-grid engines go through here.
+        the simulator's write-through store path discards the flags.
         State and stats updates are identical to :meth:`store_batch`."""
         sets = self._sets
         set_mask = self._set_mask

@@ -136,43 +136,6 @@ class Vault:
         stats.bytes_served += n_bytes * len(addresses)
         return self.resource.reserve_sequence(costs)
 
-    def service_batch_planned(
-        self,
-        addresses: Sequence[int],
-        rows: Sequence[int],
-        banks: Sequence[int],
-        n_bytes: int,
-    ) -> float:
-        """:meth:`service_batch` with the row index and permuted bank of
-        every address precomputed (the lockstep grid engine derives them
-        once per trace — they depend only on the stack geometry, not the
-        mapping or the lane). Walk order, open-row updates, stats, and
-        reservation arithmetic are exactly :meth:`service_batch`'s, so
-        times stay bit-identical."""
-        if n_bytes <= 0:
-            raise SimulationError(f"vault request of {n_bytes} bytes")
-        open_rows = self._open_rows
-        penalty = self.row_miss_penalty_bytes
-        base_cost = float(n_bytes)
-        row_hits = 0
-        activations = 0
-        costs: List[float] = []
-        append = costs.append
-        for row, bank in zip(rows, banks):
-            if row == open_rows[bank]:
-                row_hits += 1
-                append(base_cost)
-            else:
-                activations += 1
-                open_rows[bank] = row
-                append(base_cost + penalty)
-        stats = self.stats
-        stats.row_hits += row_hits
-        stats.activations += activations
-        stats.requests += len(addresses)
-        stats.bytes_served += n_bytes * len(addresses)
-        return self.resource.reserve_sequence(costs)
-
 
 class MemoryStack:
     """One 3D-stacked memory: vaults plus aggregate statistics."""
@@ -237,71 +200,6 @@ class MemoryStack:
             vault = vaults[vault_index]
             row = address >> vault.row_bits
             bank = (row ^ (row >> 4) ^ (row >> 8)) % vault.n_banks
-            cost = base_cost
-            stats = vault.stats
-            open_rows = vault._open_rows
-            if row == open_rows[bank]:
-                stats.row_hits += 1
-            else:
-                stats.activations += 1
-                open_rows[bank] = row
-                cost += vault.row_miss_penalty_bytes
-            stats.requests += 1
-            stats.bytes_served += n_bytes
-            resource = vault.resource
-            next_free = resource._next_free
-            start = now if now > next_free else next_free
-            duration = cost / resource.rate
-            resource._next_free = start + duration
-            resource.busy_time += duration
-            resource.units_moved += cost
-            resource.transfers += 1
-            done = start + duration + resource.latency
-            if done > latest:
-                latest = done
-        return latest
-
-    def service_batch_planned(
-        self,
-        vault_index: int,
-        addresses: Sequence[int],
-        rows: Sequence[int],
-        banks: Sequence[int],
-        n_bytes: int,
-    ) -> float:
-        if not 0 <= vault_index < len(self.vaults):
-            raise SimulationError(
-                f"stack {self.stack_id}: vault index {vault_index} out of range"
-            )
-        return self.vaults[vault_index].service_batch_planned(
-            addresses, rows, banks, n_bytes
-        )
-
-    def service_scatter_planned(
-        self,
-        vault_indices: Sequence[int],
-        rows: Sequence[int],
-        banks: Sequence[int],
-        n_bytes: int,
-    ) -> float:
-        """:meth:`service_scatter` with vault routing *and* row/bank
-        geometry precomputed per line. The lockstep grid engine computes
-        the vault indices once per (trace, mapping) as a whole-trace
-        vectorized call and the rows/banks once per trace; this walk
-        replays the same per-line booking in the same order, so stats
-        and completion times are bit-identical to the unplanned path.
-        (The ideal-colocation path reuses this too: its vault indices
-        are ``(address >> line_bits) % n_vaults``, precomputed the same
-        way, making it the planned twin of :meth:`service_interleaved`.)
-        """
-        if n_bytes <= 0:
-            raise SimulationError(f"vault request of {n_bytes} bytes")
-        vaults = self.vaults
-        base_cost = float(n_bytes)
-        now = vaults[0].resource._engine.now
-        latest = now
-        for vault_index, row, bank in zip(vault_indices, rows, banks):
-            vault = vaults[vault_index]
             cost = base_cost
             stats = vault.stats
             open_rows = vault._open_rows

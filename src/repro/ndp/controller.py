@@ -36,7 +36,7 @@ from .monitor import ChannelBusyMonitor
 
 
 #: Which ``ControlConfig`` fields each code path reads, grouped by the
-#: condition under which the read happens. The lockstep grid engine
+#: condition under which the read happens. The grid driver
 #: (:mod:`repro.core.gridrun`) uses these sets to null out the fields a
 #: lane's policy can never observe before fingerprinting its config for
 #: cross-variant deduplication — keep them in sync with the readers:

@@ -77,47 +77,6 @@ class WorkloadTrace:
             segments.extend(task.candidate_segments)
         return segments
 
-    def access_arrays(self) -> "TraceAccessArrays":
-        """Every warp access of the trace flattened into one CSR-style
-        line-address array, built once and cached on the trace.
-
-        This is the substrate of the lockstep grid engine
-        (:mod:`repro.core.gridrun`): routing a whole trace through an
-        address mapping becomes a single vectorized call over
-        ``lines`` (vector width = total trace lines, thousands), whose
-        result every grid lane sharing that mapping reuses — instead of
-        one short per-access ``stack_of_many`` walk per lane."""
-        cached = getattr(self, "_access_arrays_cache", None)
-        if cached is None:
-            accesses: List[WarpAccess] = []
-            for task in self.tasks:
-                for segment in task.segments:
-                    accesses.extend(segment.accesses)
-            offsets = np.zeros(len(accesses) + 1, dtype=np.int64)
-            for index, access in enumerate(accesses):
-                offsets[index + 1] = offsets[index] + len(access.line_addresses)
-            lines = np.empty(int(offsets[-1]), dtype=np.int64)
-            for index, access in enumerate(accesses):
-                lines[offsets[index] : offsets[index + 1]] = access.line_array()
-            lines.setflags(write=False)
-            offsets.setflags(write=False)
-            cached = TraceAccessArrays(
-                accesses=tuple(accesses), lines=lines, offsets=offsets
-            )
-            self._access_arrays_cache = cached
-        return cached
-
-
-@dataclass(frozen=True)
-class TraceAccessArrays:
-    """Flat view of a trace's memory accesses (see
-    :meth:`WorkloadTrace.access_arrays`): ``accesses[i]`` owns
-    ``lines[offsets[i]:offsets[i+1]]``."""
-
-    accesses: Tuple[WarpAccess, ...]
-    lines: np.ndarray
-    offsets: np.ndarray
-
 
 class TraceModel:
     """What a workload must provide to generate traces.

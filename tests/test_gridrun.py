@@ -1,4 +1,4 @@
-"""The lockstep grid engine vs. the scalar reference engine.
+"""The grid driver vs. the scalar reference sequence.
 
 The contract under test (repro.core.gridrun): running a grid of
 (policy, configuration) points through ``WorkloadRunner.run_grid`` is
@@ -63,16 +63,34 @@ def _scalar_reference(workload, scale, seed, policies, configuration=None):
     return {policy.label: runner.run(policy, cache=False) for policy in policies}
 
 
+def _count_simulations(monkeypatch):
+    """Wrap ``Simulator.run``; the returned list collects the type of
+    every instance that simulates from then on."""
+    simulated = []
+    original = Simulator.run
+
+    def counting_run(self):
+        simulated.append(type(self))
+        return original(self)
+
+    monkeypatch.setattr(Simulator, "run", counting_run)
+    return simulated
+
+
 class TestBitIdentity:
     @pytest.mark.parametrize("workload", ["BFS", "KM", "SP", "LIB"])
     def test_tiny_grid_matches_scalar(self, workload, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         expected = _scalar_reference(workload, TraceScale.TINY, 0, GRID_POLICIES)
         runner = WorkloadRunner(workload, scale=TraceScale.TINY)
+        simulated = _count_simulations(monkeypatch)
         got = runner.run_grid(GRID_POLICIES)
         report = runner.last_grid_report
         assert report is not None and not report.evicted
         assert report.simulated + report.deduplicated == len(GRID_POLICIES)
+        # Every lane that simulates is the one scalar Simulator.
+        assert len(simulated) == report.simulated
+        assert all(kind is Simulator for kind in simulated)
         for policy in GRID_POLICIES:
             assert got[policy.label] == expected[policy.label], policy.label
 
@@ -89,10 +107,13 @@ class TestBitIdentity:
         runner = WorkloadRunner(
             "BFS", scale=TraceScale.TINY, ndp_configuration=variants[0]
         )
+        simulated = _count_simulations(monkeypatch)
         got = runner.run_grid(GRID_POLICIES, variants=variants)
         report = runner.last_grid_report
         assert report.deduplicated > 0, "variant grid must dedup lanes"
         assert report.simulated < len(variants) * len(GRID_POLICIES)
+        assert len(simulated) == report.simulated
+        assert all(kind is Simulator for kind in simulated)
         for index in range(len(variants)):
             for policy in GRID_POLICIES:
                 assert got[index][policy.label] == expected[index][policy.label]
@@ -154,7 +175,7 @@ class TestEngagement:
         from repro.core import gridrun
 
         def boom(*args, **kwargs):
-            raise AssertionError("single-lane jobs must not use the lockstep engine")
+            raise AssertionError("single-lane jobs must not use the grid driver")
 
         monkeypatch.setattr(gridrun, "run_grid", boom)
         job = SuiteJob(

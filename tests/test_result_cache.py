@@ -240,9 +240,9 @@ class TestWarmSuiteRunsNothing:
     def test_warm_figure8_suite_zero_constructions(self, monkeypatch):
         """Stronger than zero ``run()`` calls: a warm supervised
         Figure-8 run constructs no Simulator (grid lanes included —
-        ``_LaneSimulator`` inherits the patched ``__init__``) and
-        builds no trace. Guards the lockstep grid path's contract of
-        probing every lane's cache before touching the trace."""
+        every lane is a plain ``Simulator``) and builds no trace.
+        Guards the grid path's contract of probing every lane's cache
+        before touching the trace."""
         cold = run_figure8_suite(scale=TraceScale.TINY, seed=0)
 
         import repro.core.experiment as experiment

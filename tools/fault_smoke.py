@@ -9,9 +9,9 @@ Four acts over one small suite grid:
    dead suite) while every healthy point stays bit-identical;
 3. a ``resume`` after the fault clears — only the failed workload may
    re-run, and the final results must match the reference exactly;
-4. a fault injected into one *lockstep grid lane* — the lane must be
-   evicted to scalar replay while the rest of the grid stays on the
-   lockstep path, with every result still bit-identical.
+4. a fault injected into one *grid lane* — the lane must be evicted to
+   a fresh scalar replay while the rest of the grid runs on, with every
+   result still bit-identical.
 
 Run from the repository root::
 
@@ -92,7 +92,7 @@ def main() -> None:
                 fail(f"resumed workload {name} diverged from clean run")
         print(f"      only {CRASH_TARGET} re-ran; full grid matches the reference")
 
-    print(f"[4/4] fault injected into lockstep lane lane/{LANE_TARGET}/{LANE_POLICY} ...")
+    print(f"[4/4] fault injected into grid lane lane/{LANE_TARGET}/{LANE_POLICY} ...")
     from repro.core.experiment import WorkloadRunner
 
     os.environ["REPRO_FAULTS"] = f"raise@lane/{LANE_TARGET}/{LANE_POLICY}"
@@ -102,16 +102,16 @@ def main() -> None:
 
     report = runner.last_grid_report
     if report is None:
-        fail("grid run did not engage the lockstep engine")
+        fail("grid run did not engage the grid driver")
     if report.evicted != [LANE_POLICY]:
         fail(f"expected eviction of [{LANE_POLICY!r}] only, got {report.evicted}")
     if report.simulated < 1:
-        fail("the rest of the grid must stay on the lockstep path")
+        fail("the rest of the grid must still run in the grid")
     for policy in policies:
         if lane_results[policy.label] != clean.results[LANE_TARGET][policy.label]:
             fail(f"lane-evicted grid diverged on {policy.label}")
     print(f"      {LANE_POLICY} evicted to scalar replay; "
-          f"{report.simulated} lanes stayed lockstep; results bit-identical")
+          f"{report.simulated} lanes simulated in the grid; results bit-identical")
 
     print("FAULT SMOKE OK")
 
