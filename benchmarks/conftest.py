@@ -1,9 +1,9 @@
 """Benchmark harness configuration.
 
 Each benchmark regenerates one of the paper's tables or figures, prints
-its text rendering (captured in ``bench_output.txt`` when run with
-``--benchmark-only -s``), and asserts the *shape* invariants the
-reproduction targets. Set ``REPRO_BENCH_SCALE`` (TINY/SMALL/MEDIUM/
+its text rendering (to stdout when run with ``--benchmark-only -s``;
+``repro-tom bundle DIR --scale SMALL`` writes the same text to files),
+and asserts the *shape* invariants the reproduction targets. Set ``REPRO_BENCH_SCALE`` (TINY/SMALL/MEDIUM/
 LARGE) to trade run time for fidelity; SMALL is the default.
 
 The simulations are deterministic, so every figure runs exactly once

@@ -65,56 +65,21 @@ def format_bars(
     return "\n".join(lines)
 
 
-def render_manifest_summary(path) -> str:
-    """Roll a JSONL run manifest (suite or campaign) up into per-grid
-    summary tables.
+def render_grid_summary(name: str, grids) -> str:
+    """Roll results up into one summary table per grid.
 
-    Job entries are grouped by their (config, scale, seed) coordinates
-    — campaign manifests annotate every entry with them; plain suite
-    manifests fall back to the header's scale/seed and an implicit
-    ``default`` config. Within a group, each workload's latest results
-    per policy are merged across entries (successive campaign passes
-    append entries whose pending sets differ); the table shows speedup
-    over baseline when the group ran a baseline, raw IPC otherwise.
-    Failed points are summarized under the tables.
+    ``grids`` maps ``(config, scale, seed)`` to ``{workload: {policy
+    label: result}}`` (e.g. :meth:`repro.campaign.CampaignReport.grids`).
+    Columns follow the suite order; a table shows speedup over baseline
+    when every column ran a baseline and another policy, raw IPC
+    otherwise.
     """
-    from ..core import manifest as manifest_mod
     from ..workloads.suite import SUITE_ORDER
 
-    header, entries = manifest_mod.load_manifest_entries(path)
-    if header is None and not entries:
-        raise AnalysisError(f"{path} contains no manifest header or entries")
-    header = header or {}
-    default_scale = header.get("scale", "?")
-    default_seed = header.get("seed", "?")
-
-    # group key -> workload -> policy label -> result
-    groups: dict = {}
-    failures: list = []
-    for entry in entries:
-        key = (
-            entry.get("config", "default"),
-            entry.get("scale", default_scale),
-            entry.get("seed", default_seed),
-        )
-        workload = entry.get("workload", "?")
-        if entry.get("status") == "ok":
-            results = manifest_mod.completed_results(entry) or {}
-            groups.setdefault(key, {}).setdefault(workload, {}).update(results)
-        else:
-            failure = entry.get("failure") or {}
-            failures.append(
-                f"{workload} [{', '.join(entry.get('policies', []))}] "
-                f"@{key[1]} seed={key[2]} config={key[0]}: "
-                f"{failure.get('kind', 'failed')}: "
-                f"{failure.get('message', 'no detail recorded')}"
-            )
-
-    name = header.get("name") or header.get("campaign") or "run"
     blocks = []
     suite_rank = {w: i for i, w in enumerate(SUITE_ORDER)}
-    for key in sorted(groups, key=lambda k: (str(k[0]), str(k[1]), str(k[2]))):
-        per_workload = groups[key]
+    for key in sorted(grids, key=lambda k: (str(k[0]), str(k[1]), str(k[2]))):
+        per_workload = grids[key]
         config, scale, seed = key
         columns = sorted(
             per_workload, key=lambda w: (suite_rank.get(w, len(suite_rank)), w)
@@ -124,9 +89,10 @@ def render_manifest_summary(path) -> str:
             for label in per_workload[workload]:
                 if label not in labels:
                     labels.append(label)
-        have_baseline = all(
+        # A baseline-only grid has nothing to compare: show its IPC.
+        have_baseline = len(labels) > 1 and all(
             "baseline" in per_workload[w] for w in columns
-        ) and "baseline" in labels
+        )
         rows: dict = {}
         for label in labels:
             if label == "baseline" and have_baseline:
@@ -155,13 +121,8 @@ def render_manifest_summary(path) -> str:
                 note=metric,
             )
         )
-    if not blocks and not failures:
-        raise AnalysisError(f"{path} records no completed results")
-    if failures:
-        blocks.append(
-            "\n".join([f"{len(failures)} failed point group(s):"]
-                      + [f"  {line}" for line in failures])
-        )
+    if not blocks:
+        raise AnalysisError(f"{name} has no completed results to summarize")
     return "\n\n".join(blocks)
 
 

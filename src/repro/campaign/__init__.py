@@ -12,13 +12,13 @@ hoc. This package is that layer, sitting above the supervised executor
   declaration (TOML/JSON/dict) of the parameter product plus pinning
   and exclusion rules, expanded deterministically into
   content-addressed :class:`CampaignPoint` descriptors;
-* :mod:`repro.campaign.driver` — :class:`CampaignDriver`, which skips
-  points already answered by the persistent result cache or a prior
-  run's JSONL manifest, fans the remainder out through the supervised
-  job engine, streams the manifest as outcomes land, and rolls results
-  up into per-campaign summary tables.
+* :mod:`repro.campaign.driver` — :class:`CampaignDriver`, which hands
+  the expanded points to the suite's job planner: points the persistent
+  result cache answers are skipped, the remainder fans out through the
+  supervised job engine, and results roll up into per-grid summary
+  tables.
 
-See ``docs/CAMPAIGNS.md`` for the spec format and skip/resume
+See ``docs/CAMPAIGNS.md`` for the spec format and skip/re-run
 semantics.
 """
 
@@ -26,7 +26,6 @@ from .driver import (
     CampaignDriver,
     CampaignReport,
     CampaignStatus,
-    default_manifest_path,
     run_campaign,
 )
 from .spec import CampaignConfig, CampaignPoint, CampaignSpec, load_spec
@@ -38,7 +37,6 @@ __all__ = [
     "CampaignReport",
     "CampaignSpec",
     "CampaignStatus",
-    "default_manifest_path",
     "load_spec",
     "run_campaign",
 ]

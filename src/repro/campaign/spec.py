@@ -36,8 +36,8 @@ declaration always yields the same points, in the same order, with the
 same ``point_id``s (a SHA-256 over the point's identity including the
 resolved configuration — but *not* the code version, so campaign
 identity survives code changes; the result cache's own keys handle
-invalidation). That determinism is what makes skip-completed, resume,
-and manifest-based status trustworthy.
+invalidation). That determinism is what makes skip-completed, re-runs
+and cache-based status trustworthy.
 
 TOML is parsed with the standard library's :mod:`tomllib`.
 """
@@ -105,7 +105,7 @@ class CampaignConfig:
 @dataclass(frozen=True)
 class CampaignPoint:
     """One expanded point of the product. ``point_id`` is the content
-    address the driver and manifest roll-ups key on."""
+    address the driver's report keys results on."""
 
     point_id: str
     workload: str

@@ -8,13 +8,12 @@ Subcommands::
     repro-tom suite --scale TINY
         Run the Figure 8 policy grid over the whole suite.
 
-    repro-tom suite --job-timeout 600 --max-retries 2 --manifest run.jsonl
-        The same grid under supervision: per-job timeout and retries,
-        and a JSONL run manifest streamed as each job lands. If jobs
-        fail permanently, the suite still completes with partial
-        results, prints a failure summary, and exits 3; a follow-up
-        with ``--resume --manifest run.jsonl`` re-runs only the
-        missing or failed points (docs/ROBUSTNESS.md).
+    repro-tom suite --job-timeout 600 --max-retries 2
+        The same grid under supervision: per-job timeout and retries.
+        If jobs fail permanently, the suite still completes with
+        partial results, prints a failure summary, and exits 3; running
+        the same command again re-simulates only the failed points,
+        because the result cache answers the rest (docs/ROBUSTNESS.md).
 
     repro-tom figure fig8 [--scale SMALL]
         Regenerate one of the paper's figures as a text table
@@ -31,20 +30,17 @@ Subcommands::
 
     repro-tom report lib.jsonl
         Render a trace: decision breakdown, learned-mapping scores,
-        stack-routing matrix, per-channel utilization timeline. Given
-        a JSONL *run manifest* instead (suite --manifest, campaign
-        run), renders the per-grid summary tables.
+        stack-routing matrix, per-channel utilization timeline.
 
     repro-tom campaign run sweep.toml
         Expand a declared parameter product (workloads x policies x
         scales x seeds x configs), skip every point already answered by
-        the result cache or the campaign manifest, run the rest under
-        supervision, and print the roll-up (docs/CAMPAIGNS.md).
+        the result cache, run the rest under supervision, and print the
+        per-grid roll-up (docs/CAMPAIGNS.md).
 
     repro-tom campaign status sweep.toml
-        Classify every point (cached / completed / failed / pending)
-        without running anything; exits 0 only when the campaign is
-        complete.
+        Classify every point (cached / pending) without running
+        anything; exits 0 only when the campaign is complete.
 
 Exit code 0 on success; errors print to stderr and exit 2; a suite or
 campaign run that completes with partial results (some jobs failed
@@ -147,17 +143,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="retries per failing job (default: REPRO_MAX_RETRIES, else 1)",
     )
-    suite.add_argument(
-        "--manifest",
-        metavar="PATH",
-        default=None,
-        help="stream per-job outcomes to a JSONL run manifest",
-    )
-    suite.add_argument(
-        "--resume",
-        action="store_true",
-        help="restore completed points from --manifest; run only the rest",
-    )
 
     figure = sub.add_parser(
         "figure",
@@ -200,22 +185,10 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
     spec_parent = argparse.ArgumentParser(add_help=False)
     spec_parent.add_argument("spec", help="campaign spec (TOML or JSON)")
-    spec_parent.add_argument(
-        "--manifest",
-        metavar="PATH",
-        default=None,
-        help="campaign manifest (default: "
-        "$REPRO_CAMPAIGN_DIR/<name>-<fingerprint>.jsonl)",
-    )
     campaign_run = campaign_sub.add_parser(
         "run",
-        help="run every point not already answered by cache or manifest",
+        help="run every point not already answered by the result cache",
         parents=[spec_parent, engine_parent],
-    )
-    campaign_run.add_argument(
-        "--fresh",
-        action="store_true",
-        help="truncate the manifest instead of resuming from it",
     )
     campaign_run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
@@ -284,10 +257,9 @@ def _cmd_run(args) -> None:
 
 def _cmd_suite(args) -> int:
     from .analysis.figures import figure8
+    from .core import result_cache
     from .core.experiment import run_suite_supervised
 
-    if args.resume and not args.manifest:
-        raise ReproError("--resume requires --manifest PATH")
     report = run_suite_supervised(
         FIGURE8_GRID,
         scale=TraceScale[args.scale],
@@ -295,8 +267,6 @@ def _cmd_suite(args) -> int:
         workloads=args.workloads,
         job_timeout=args.job_timeout,
         max_retries=args.max_retries,
-        manifest_path=args.manifest,
-        resume=args.resume,
     )
     results = report.results
 
@@ -320,10 +290,10 @@ def _cmd_suite(args) -> int:
         print(f"\n{len(report.failures)} job(s) failed:", file=sys.stderr)
         for failure in report.failures:
             print(f"  {failure.describe()}", file=sys.stderr)
-        if args.manifest:
+        if result_cache.enabled():
             print(
-                f"re-run with --resume --manifest {args.manifest} "
-                "to retry only the failed points",
+                "re-run the same command to retry only the failed points "
+                "(the result cache answers the rest)",
                 file=sys.stderr,
             )
         return 3
@@ -358,37 +328,11 @@ def _cmd_inspect(args) -> None:
         print(f"  rejected: {reason}")
 
 
-def _is_manifest(path: str) -> bool:
-    """Sniff the first line: run manifests start with a JSON header of
-    ``kind == "manifest"``; event traces are JSONL of event dicts."""
-    import json as _json
-
-    try:
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                payload = _json.loads(line)
-                return (
-                    isinstance(payload, dict)
-                    and payload.get("kind") == "manifest"
-                )
-    except (OSError, ValueError):
-        pass
-    return False
-
-
 def _cmd_report(args) -> None:
     from .analysis.export import read_trace_jsonl, trace_samples_to_csv
     from .errors import AnalysisError
     from .obs import render_report
 
-    if _is_manifest(args.trace):
-        from .analysis.reporting import render_manifest_summary
-
-        print(render_manifest_summary(args.trace))
-        return
     try:
         events = read_trace_jsonl(args.trace)
     except OSError as error:
@@ -417,7 +361,7 @@ def _cmd_bundle(args) -> None:
 def _cmd_campaign(args) -> int:
     from .campaign import CampaignDriver, load_spec
 
-    driver = CampaignDriver(load_spec(args.spec), manifest_path=args.manifest)
+    driver = CampaignDriver(load_spec(args.spec))
     if args.campaign_command == "status":
         status = driver.status()
         for line in status.describe():
@@ -429,15 +373,14 @@ def _cmd_campaign(args) -> int:
         jobs=args.jobs,
         job_timeout=args.job_timeout,
         max_retries=args.max_retries,
-        resume=not args.fresh,
     )
     for line in report.describe():
         print(line)
-    if report.planned and report.results:
-        from .analysis.reporting import render_manifest_summary
+    if report.results:
+        from .analysis.reporting import render_grid_summary
 
         print()
-        print(render_manifest_summary(report.manifest_path))
+        print(render_grid_summary(report.spec.name, report.grids()))
     if not report.ok:
         print(
             f"\nre-run `repro-tom campaign run {args.spec}` to retry the "

@@ -10,10 +10,11 @@ result cache (see :mod:`repro.core.result_cache`), so repeated figure
 drivers re-simulate nothing.
 
 :func:`run_suite_supervised` is the fault-tolerant variant built on
-:mod:`repro.core.supervisor`: per-job timeouts and retries, partial
-results plus structured failures instead of a dead suite, an optional
-JSONL run manifest streamed as outcomes land, and manifest-based
-``resume`` that re-runs only missing or failed points.
+:mod:`repro.core.supervisor`: per-job timeouts and retries, and partial
+results plus structured failures instead of a dead suite. It and the
+campaign driver share one job planner, :func:`run_points`, for which
+the persistent result cache is the only record of finished points — a
+plain re-run re-simulates only what is missing or failed.
 :func:`run_suite` delegates to it and raises
 :class:`~repro.errors.JobExecutionError` if anything failed — the
 strict contract every figure driver expects.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..config import SystemConfig, baseline_config, ndp_config
 from ..errors import ConfigError, JobExecutionError
@@ -31,9 +32,7 @@ from ..trace.generator import TraceScale, WorkloadTrace, build_trace
 from ..utils.stats import geometric_mean
 from ..workloads.base import PaperWorkload, make_workload
 from ..workloads.suite import SUITE_ORDER
-from . import gridrun
-from . import manifest as manifest_mod
-from . import result_cache
+from . import gridrun, result_cache
 from .policies import BASELINE, RunPolicy
 from .results import SimulationResult
 from .simulator import Simulator
@@ -328,6 +327,165 @@ def _suite_policies(
 SuiteResults = Dict[str, Dict[str, SimulationResult]]
 
 
+class SuitePoint(NamedTuple):
+    """One point of a run grid: ``policy`` on the trace of ``workload``
+    at (``scale``, ``seed``), with ``config`` as the NDP configuration
+    (offloading policies run on it; the baseline runs on the paper's
+    baseline configuration)."""
+
+    workload: str
+    scale: TraceScale
+    seed: int
+    config: SystemConfig
+    policy: RunPolicy
+
+
+def point_key(point: SuitePoint, base_config: SystemConfig) -> str:
+    """The result-cache key a one-variant run of ``point`` uses."""
+    return result_cache.cache_key(
+        workload=point.workload,
+        policy_label=point.policy.label,
+        scale=point.scale,
+        seed=point.seed,
+        trace_config=point.config,
+        run_config=point.config if point.policy.offloads else base_config,
+    )
+
+
+@dataclass
+class PointsReport:
+    """What :func:`run_points` produced: ``results`` is parallel to the
+    points it was given, ``None`` where the point's job failed."""
+
+    results: List[Optional[SimulationResult]]
+    cache_hits: int = 0
+    failures: List[JobFailure] = field(default_factory=list)
+    outcomes: List[JobOutcome] = field(default_factory=list)
+
+
+def run_points(
+    points: Sequence[SuitePoint],
+    jobs: Optional[int] = None,
+    job_timeout: Optional[float] = None,
+    max_retries: Optional[int] = None,
+    recorder=None,
+) -> PointsReport:
+    """Answer every point from the result cache or by simulating it
+    under supervision — the one job planner behind
+    :func:`run_suite_supervised` and the campaign driver.
+
+    The persistent result cache is the only completion record: points
+    it answers simulate nothing, so re-running a partial run
+    re-simulates exactly the points that are missing. The misses are
+    grouped into one :class:`~repro.core.supervisor.SuiteJob` per
+    (workload, scale, seed, trace fingerprint) — distinct configurations
+    ride the job as variants in first-seen order, so each trace is built
+    once and lanes the variants cannot tell apart simulate once; its
+    policies follow the order they first appear in ``points``. All jobs
+    go to one :func:`~repro.core.supervisor.run_supervised` call; a
+    failing job becomes a structured failure and leaves its points
+    ``None``. ``job_timeout``/``max_retries`` configure the supervisor
+    (env fallbacks ``REPRO_JOB_TIMEOUT``/``REPRO_MAX_RETRIES``). A
+    ``recorder`` with a ``job`` hook (e.g.
+    :class:`repro.obs.TraceRecorder`) receives one job-lifecycle event
+    per outcome.
+    """
+    base_config = baseline_config()
+    report = PointsReport(results=[None] * len(points))
+    caching = result_cache.enabled()
+    keys: List[Optional[str]] = [None] * len(points)
+    missing: List[int] = []
+    for index, point in enumerate(points):
+        if caching:
+            keys[index] = point_key(point, base_config)
+            cached = result_cache.load(keys[index])
+            if cached is not None:
+                report.results[index] = cached
+                report.cache_hits += 1
+                continue
+        missing.append(index)
+
+    # One trace-sharing group per job; fingerprints memoized per config
+    # object (callers reuse one object for every point of a config).
+    fingerprints: Dict[int, str] = {}
+    groups: Dict[Tuple[str, TraceScale, int, str], List[int]] = {}
+    for index in missing:
+        point = points[index]
+        fingerprint = fingerprints.get(id(point.config))
+        if fingerprint is None:
+            fingerprint = gridrun.trace_fingerprint(point.config)
+            fingerprints[id(point.config)] = fingerprint
+        group = (point.workload, point.scale, point.seed, fingerprint)
+        groups.setdefault(group, []).append(index)
+
+    rank: Dict[RunPolicy, int] = {}
+    for point in points:
+        rank.setdefault(point.policy, len(rank))
+    variant_of: Dict[int, int] = {}
+    pending: List[SuiteJob] = []
+    for members in groups.values():
+        variants: List[SystemConfig] = []
+        for index in members:
+            config = points[index].config
+            if config not in variants:
+                variants.append(config)
+            variant_of[index] = variants.index(config)
+        first = points[members[0]]
+        pending.append(
+            SuiteJob(
+                workload=first.workload,
+                policies=tuple(
+                    sorted(
+                        dict.fromkeys(points[index].policy for index in members),
+                        key=rank.__getitem__,
+                    )
+                ),
+                scale=first.scale,
+                seed=first.seed,
+                variants=tuple(variants),
+            )
+        )
+
+    on_outcome = None
+    if recorder is not None and getattr(recorder, "enabled", False):
+        started = time.monotonic()
+
+        def on_outcome(outcome: JobOutcome) -> None:
+            # Streamed per outcome, in the supervising (parent) process.
+            failure = outcome.failure
+            recorder.job(
+                workload=outcome.job.workload,
+                policies=tuple(p.label for p in outcome.job.policies),
+                status="ok" if outcome.ok else "failed",
+                attempts=outcome.attempts,
+                elapsed=outcome.elapsed,
+                error=failure.message if failure is not None else None,
+                at=time.monotonic() - started,
+            )
+
+    report.outcomes = run_supervised(
+        pending,
+        n_jobs=jobs,
+        config=SupervisorConfig.from_env(timeout=job_timeout, max_retries=max_retries),
+        on_outcome=on_outcome,
+    )
+    # Outcomes are submission-ordered, i.e. parallel to the groups.
+    for members, outcome in zip(groups.values(), report.outcomes):
+        if not outcome.ok:
+            if outcome.failure is not None:
+                report.failures.append(outcome.failure)
+            continue
+        for index in members:
+            result = outcome.results[variant_of[index]][points[index].policy.label]
+            report.results[index] = result
+            # Workers store through their own WorkloadRunner; repeating
+            # the store here covers crashed workers' surviving siblings
+            # too (idempotent either way).
+            if caching:
+                result_cache.store(keys[index], result)
+    return report
+
+
 @dataclass
 class SuiteRunReport:
     """What a supervised suite run produced.
@@ -337,15 +495,12 @@ class SuiteRunReport:
     given ``variants``, one such dict per variant, in order; a workload
     whose job failed is absent from every variant. ``failures`` holds
     the structured per-job failures; ``outcomes`` every
-    :class:`~repro.core.supervisor.JobOutcome` in submission order;
-    ``resumed`` counts policy results restored from the manifest rather
-    than simulated or cache-loaded.
+    :class:`~repro.core.supervisor.JobOutcome` in submission order.
     """
 
     results: Union[SuiteResults, List[SuiteResults]] = field(default_factory=dict)
     failures: List[JobFailure] = field(default_factory=list)
     outcomes: List[JobOutcome] = field(default_factory=list)
-    resumed: int = 0
 
     @property
     def ok(self) -> bool:
@@ -362,35 +517,26 @@ def run_suite_supervised(
     jobs: Optional[int] = None,
     job_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
-    manifest_path=None,
-    resume: bool = False,
     recorder=None,
     variants: Optional[Sequence[SystemConfig]] = None,
 ) -> SuiteRunReport:
     """Run every policy on every suite workload under supervision.
 
-    Like :func:`run_suite`, cached results are returned without
-    simulating and the remaining work is grouped into one job per
-    workload; unlike it, a failing job becomes a structured
-    :class:`~repro.core.supervisor.JobFailure` in the report instead of
-    killing the suite. ``job_timeout``/``max_retries`` configure the
-    supervisor (env fallbacks ``REPRO_JOB_TIMEOUT``/``REPRO_MAX_RETRIES``).
+    Builds the workloads x configurations x policies product and hands
+    it to :func:`run_points`: cached points are returned without
+    simulating, the rest run as one job per workload, and a failing job
+    becomes a structured :class:`~repro.core.supervisor.JobFailure` in
+    the report instead of killing the suite. Re-running after a partial
+    run simulates only the failed points — unless the cache is off
+    (``REPRO_NO_CACHE``), which by design keeps no completion record.
 
     ``variants`` sweeps NDP configurations (instead of the single
     ``ndp_configuration``) the way ``WorkloadRunner.run_grid`` does:
     each workload's job carries every variant, so its trace is built
     once and lanes the variants cannot tell apart (the baseline) are
     simulated once; ``report.results`` is then one dict per variant.
-    Every point keeps the cache key and manifest key a one-variant run
-    of its configuration would use.
-
-    With ``manifest_path``, every outcome is appended to a JSONL run
-    manifest as it lands (one entry per variant); with ``resume=True``
-    the manifest is read first and points it records as completed are
-    restored instead of re-run (``report.resumed`` counts them) — only
-    missing or failed points execute. A ``recorder`` with a ``job`` hook
-    (e.g. :class:`repro.obs.TraceRecorder`) receives one job-lifecycle
-    event per outcome.
+    Every point keeps the cache key a one-variant run of its
+    configuration would use.
     """
     names = list(workloads) if workloads is not None else list(SUITE_ORDER)
     wanted = _suite_policies(policies, include_baseline)
@@ -408,155 +554,29 @@ def run_suite_supervised(
     for config in requested:
         if config not in configs:
             configs.append(config)
-    base_config = baseline_config()
-    per_config: List[SuiteResults] = [{name: {} for name in names} for _ in configs]
-    report = SuiteRunReport()
-
-    def point_key(name: str, config: SystemConfig, policy: RunPolicy) -> str:
-        """The result-cache key a one-variant run of ``config`` uses."""
-        return result_cache.cache_key(
-            workload=name,
-            policy_label=policy.label,
-            scale=scale,
-            seed=seed,
-            trace_config=config,
-            run_config=config if policy.offloads else base_config,
-        )
-
-    # Manifest identities are only computed when a manifest is in use:
-    # warm figure queries never pay for them.
-    job_keys: Dict[Tuple[str, int], str] = {}
-    run_id = None
-    if manifest_path:
-        job_keys = {
-            (name, index): manifest_mod.job_key(name, scale, seed, config, base_config)
+    run = run_points(
+        [
+            SuitePoint(name, scale, seed, config, policy)
             for name in names
-            for index, config in enumerate(configs)
-        }
-        run_id = manifest_mod.sweep_fingerprint(scale, seed, configs, base_config)
-    manifest_entries: Dict[str, Dict] = {}
-    if resume:
-        if not manifest_path:
-            raise ConfigError("resume requires a manifest path")
-        header, manifest_entries = manifest_mod.load_manifest(manifest_path)
-        if header is not None and header.get("run") not in (None, run_id):
-            raise ConfigError(
-                f"manifest {manifest_path} belongs to a different run "
-                f"(scale/seed/configuration variants changed)"
-            )
-
-    pending: List[SuiteJob] = []
-    # Per workload: the configs indices its job carries, in job order.
-    carried: Dict[str, Tuple[int, ...]] = {}
-    for name in names:
-        missing: Dict[int, List[RunPolicy]] = {}
-        for index, config in enumerate(configs):
-            key = job_keys.get((name, index))
-            restored: Dict[str, SimulationResult] = {}
-            if key in manifest_entries:
-                restored = manifest_mod.completed_results(manifest_entries[key]) or {}
-            answered = per_config[index][name]
-            for policy in wanted:
-                cached = None
-                if result_cache.enabled():
-                    cached = result_cache.load(point_key(name, config, policy))
-                if cached is not None:
-                    answered[policy.label] = cached
-                elif policy.label in restored:
-                    answered[policy.label] = restored[policy.label]
-                    report.resumed += 1
-                else:
-                    missing.setdefault(index, []).append(policy)
-        if missing:
-            carried[name] = tuple(missing)
-            pending.append(
-                SuiteJob(
-                    workload=name,
-                    policies=tuple(
-                        policy
-                        for policy in wanted
-                        if any(policy in group for group in missing.values())
-                    ),
-                    scale=scale,
-                    seed=seed,
-                    variants=tuple(configs[index] for index in missing),
-                )
-            )
-
-    manifest: Optional[manifest_mod.RunManifest] = None
-    if manifest_path:
-        manifest = manifest_mod.RunManifest(
-            manifest_path,
-            header={
-                "run": run_id,
-                "scale": scale.name,
-                "seed": seed,
-                "policies": [policy.label for policy in wanted],
-                "workloads": names,
-            },
-            append=resume,
-        )
-
-    started = time.monotonic()
-
-    def on_outcome(outcome: JobOutcome) -> None:
-        # Streamed per-outcome hooks: manifest lines + job-lifecycle
-        # event. Runs in the supervising (parent) process.
-        name = outcome.job.workload
-        if manifest is not None:
-            for position, index in enumerate(carried[name]):
-                manifest.record(job_keys[name, index], outcome, variant=position)
-        if recorder is not None and getattr(recorder, "enabled", False):
-            failure = outcome.failure
-            recorder.job(
-                workload=name,
-                policies=tuple(p.label for p in outcome.job.policies),
-                status="ok" if outcome.ok else "failed",
-                attempts=outcome.attempts,
-                elapsed=outcome.elapsed,
-                error=failure.message if failure is not None else None,
-                at=time.monotonic() - started,
-            )
-
-    supervisor_config = SupervisorConfig.from_env(
-        timeout=job_timeout, max_retries=max_retries
+            for config in configs
+            for policy in wanted
+        ],
+        jobs=jobs,
+        job_timeout=job_timeout,
+        max_retries=max_retries,
+        recorder=recorder,
     )
-    try:
-        report.outcomes = run_supervised(
-            pending,
-            n_jobs=jobs,
-            config=supervisor_config,
-            on_outcome=on_outcome,
-        )
-    finally:
-        if manifest is not None:
-            manifest.close()
-
-    for outcome in report.outcomes:
-        if not outcome.ok:
-            if outcome.failure is not None:
-                report.failures.append(outcome.failure)
-            continue
-        name = outcome.job.workload
-        for index, variant_results in zip(carried[name], outcome.results or ()):
-            config = configs[index]
-            answered = per_config[index][name]
-            for policy in outcome.job.policies:
-                if policy.label in answered:
-                    continue  # cache- or manifest-answered before dispatch
-                result = variant_results[policy.label]
-                answered[policy.label] = result
-                # Workers store through their own WorkloadRunner;
-                # repeating the store here covers crashed workers'
-                # surviving siblings too (idempotent either way).
-                if result_cache.enabled():
-                    result_cache.store(point_key(name, config, policy), result)
-    # A workload whose every point failed contributes no results; drop
-    # its empty dict so callers can treat membership as "has data".
-    for results in per_config:
-        for name in names:
-            if not results[name]:
-                del results[name]
+    # Fold back in product order; a workload whose every point failed
+    # stays absent, so callers can treat membership as "has data".
+    per_config: List[SuiteResults] = [{} for _ in configs]
+    answers = iter(run.results)
+    for name in names:
+        for results in per_config:
+            for policy in wanted:
+                result = next(answers)
+                if result is not None:
+                    results.setdefault(name, {})[policy.label] = result
+    report = SuiteRunReport(failures=run.failures, outcomes=run.outcomes)
     if variants is None:
         report.results = per_config[0]
     else:

@@ -204,17 +204,6 @@ class JobFailure:
             f"after {self.attempts} attempt(s): {self.message}"
         )
 
-    def to_dict(self) -> Dict:
-        return {
-            "workload": self.workload,
-            "policies": list(self.policies),
-            "scale": self.scale,
-            "seed": self.seed,
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-        }
-
 
 @dataclass(frozen=True)
 class JobOutcome:
@@ -357,8 +346,9 @@ def run_supervised(
     :class:`JobOutcome` per job, in submission order.
 
     ``on_outcome`` is invoked with each outcome as it lands (completed
-    *or* failed) — the manifest/streaming hook; outcomes arrive in
-    completion order there, but the returned list is submission-ordered.
+    *or* failed) — the streaming hook for job-lifecycle events; outcomes
+    arrive in completion order there, but the returned list is
+    submission-ordered.
     """
     jobs = list(jobs)
     # Cache-only evaluation (repro/guard.py): pool workers would not

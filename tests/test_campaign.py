@@ -1,7 +1,7 @@
 """Tests for the campaign layer (repro.campaign): spec expansion
-determinism, skip-completed semantics against cache and manifest,
-resume after injected faults, the simulation guard and its warm-path
-guarantee, and the CLI's exit-code conventions.
+determinism, skip-completed semantics against the result cache,
+re-runs after injected faults, the shared job planner, the simulation
+guard and its warm-path guarantee, and the CLI's exit-code conventions.
 
 Everything runs at TINY scale with REPRO_JOBS=1 (inline supervised
 execution) so the whole file stays fast; the zero-simulation
@@ -16,12 +16,7 @@ import json
 import pytest
 
 from repro import cli
-from repro.campaign import (
-    CampaignDriver,
-    CampaignSpec,
-    default_manifest_path,
-    load_spec,
-)
+from repro.campaign import CampaignDriver, CampaignSpec, load_spec
 from repro.campaign.spec import apply_overrides, parse_toml
 from repro.config import ndp_config
 from repro.core import simulator
@@ -39,7 +34,9 @@ def _serial_and_clean(monkeypatch):
     simulator.stats["runs"] = 0
 
 
-def small_spec(name="t", workloads=("BP",), policies=("baseline", "ctrl+bmap")):
+def small_spec(
+    name="t", workloads=("BP",), policies=("baseline", "ctrl+bmap"), exclude=()
+):
     return CampaignSpec.from_dict(
         {
             "name": name,
@@ -47,6 +44,7 @@ def small_spec(name="t", workloads=("BP",), policies=("baseline", "ctrl+bmap")):
             "policies": list(policies),
             "scales": ["TINY"],
             "seeds": [0],
+            "exclude": list(exclude),
         }
     )
 
@@ -311,16 +309,16 @@ class TestDriver:
         assert report.ok and report.cache_hits == 2 and report.executed == 0
         assert simulator.stats["runs"] == 0
 
-    def test_manifest_resume_without_cache(self, monkeypatch):
+    def test_no_cache_pass_simulates_again(self, monkeypatch):
+        """With the cache off nothing records completion, by design:
+        every pass simulates every point."""
         spec = small_spec()
-        driver = CampaignDriver(spec)
-        assert driver.run().ok
-        # Cache disabled: only the manifest can answer now.
+        assert CampaignDriver(spec).run().ok
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         simulator.stats["runs"] = 0
         report = CampaignDriver(spec).run()
-        assert report.ok and report.resumed == 2 and report.executed == 0
-        assert simulator.stats["runs"] == 0
+        assert report.ok and report.cache_hits == 0 and report.executed == 2
+        assert simulator.stats["runs"] == 2
 
     def test_status_classification(self, monkeypatch):
         spec = small_spec(workloads=("BP", "BFS"))
@@ -330,65 +328,65 @@ class TestDriver:
         driver.run()
         after = CampaignDriver(spec).status()
         assert after.done and after.cached == 4 and after.pending == 0
-        # With the cache gone the manifest still answers.
+        # With the cache off nothing is recorded as done.
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        from_manifest = CampaignDriver(spec).status()
-        assert from_manifest.done and from_manifest.completed == 4
+        uncached = CampaignDriver(spec).status()
+        assert uncached.pending == 4 and not uncached.done
 
     def test_fault_then_resume(self, monkeypatch):
-        # BP's job raises (injected); BFS completes. The next pass —
-        # faults cleared — re-runs only BP's points.
-        spec = small_spec(workloads=("BP", "BFS"))
+        """BP's job raises (injected); BFS's one point completes. The
+        next pass — faults cleared, cache on — simulates exactly BP's
+        points (the exclusion keeps BFS/ctrl+bmap out of every pass) and
+        answers equal a clean run with the cache off."""
+        spec = small_spec(
+            workloads=("BP", "BFS"),
+            exclude=[{"workload": "BFS", "policy": "ctrl+bmap"}],
+        )
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        clean = CampaignDriver(spec).run()
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        assert clean.ok and clean.planned == 3
+
         monkeypatch.setenv("REPRO_FAULTS", "raise@job/BP")
-        failed = CampaignDriver(spec).run(max_retries=0)
+        failed = CampaignDriver(spec).run()
         assert not failed.ok
-        assert len(failed.failures) == 1
-        assert failed.failures[0].workload == "BP"
+        assert [f.workload for f in failed.failures] == ["BP"]
         assert {p.workload for p in failed.failed_points} == {"BP"}
-        assert len(failed.results) == 2  # BFS answered
+        assert len(failed.results) == 1  # BFS's baseline answered
 
         status = CampaignDriver(spec).status()
-        assert status.failed == 2 and status.pending == 0 and not status.done
+        assert status.cached == 1 and status.pending == 2 and not status.done
+        assert {p.workload for p in status.pending_points} == {"BP"}
 
         monkeypatch.delenv("REPRO_FAULTS")
         simulator.stats["runs"] = 0
         recovered = CampaignDriver(spec).run()
         assert recovered.ok
-        assert recovered.executed == 2  # only BP's two policies
-        assert simulator.stats["runs"] == 2
-
-    def test_manifest_from_other_campaign_rejected(self, tmp_path):
-        path = tmp_path / "shared.jsonl"
-        CampaignDriver(small_spec(name="one"), manifest_path=path).run()
-        with pytest.raises(ConfigError, match="different campaign"):
-            CampaignDriver(small_spec(name="two"), manifest_path=path).run()
-
-    def test_default_manifest_path_tracks_spec(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CAMPAIGN_DIR", str(tmp_path / "campaigns"))
-        a = default_manifest_path(small_spec(name="a"))
-        assert a.parent == tmp_path / "campaigns"
-        assert a != default_manifest_path(small_spec(name="b"))
-        # editing the spec changes the fingerprint, hence the manifest
-        assert a != default_manifest_path(
-            small_spec(name="a", policies=("baseline",))
-        )
+        assert [o.job.workload for o in recovered.outcomes] == ["BP"]
+        assert recovered.cache_hits == 1 and recovered.executed == 2
+        assert simulator.stats["runs"] == 2  # only BP's two points
+        assert recovered.results == clean.results
 
     def test_report_summary_renders(self):
-        from repro.analysis.reporting import render_manifest_summary
+        from repro.analysis.reporting import render_grid_summary
 
         spec = small_spec()
         report = CampaignDriver(spec).run()
-        text = render_manifest_summary(report.manifest_path)
+        text = render_grid_summary(spec.name, report.grids())
         assert "BP" in text and "ctrl+bmap" in text
         assert "speedup over baseline" in text
+        # A baseline-only grid renders its IPC instead of an empty table.
+        only = small_spec(policies=("baseline",))
+        text = render_grid_summary(only.name, CampaignDriver(only).run().grids())
+        assert "baseline" in text and "note: IPC" in text
 
     def test_identically_resolving_configs_keep_their_names(self):
         # Two *named* configs that resolve to the same SystemConfig share
-        # a manifest job key. Each group must still be recorded under its
-        # own config name, or the roll-up silently drops one table.
-        from repro.analysis.reporting import render_manifest_summary
+        # one variant of one job. Each must still get its own grid in the
+        # roll-up, or the summary silently drops one table.
+        from repro.analysis.reporting import render_grid_summary
         from repro.campaign.spec import CampaignConfig
-        from repro.core.manifest import load_manifest_entries
 
         spec = CampaignSpec.from_dict(
             {
@@ -410,18 +408,17 @@ class TestDriver:
         )
         report = CampaignDriver(twin).run()
         assert report.ok and len(report.results) == 4
-        _header, entries = load_manifest_entries(report.manifest_path)
-        assert sorted(e["config"] for e in entries) == ["alias", "default"]
-        text = render_manifest_summary(report.manifest_path)
+        (outcome,) = report.outcomes
+        assert len(outcome.job.variants) == 1
+        assert sorted(config for config, _, _ in report.grids()) == ["alias", "default"]
+        text = render_grid_summary(twin.name, report.grids())
         assert "config=default" in text and "config=alias" in text
 
     def test_trace_sharing_configs_ride_one_variant_job(self):
         # Named configs that differ only in fields the trace ignores
         # (here: cross-stack bandwidth) become one job carrying both as
-        # variants: one trace build, the baseline simulated once, and
-        # still one manifest entry per config under its own job key.
+        # variants: one trace build and the baseline simulated once.
         from repro.core.experiment import WorkloadRunner
-        from repro.core.manifest import load_manifest_entries
         from repro.core.policies import BASELINE, NDP_CTRL_TMAP
 
         spec = CampaignSpec.from_dict(
@@ -440,21 +437,17 @@ class TestDriver:
                 ],
             }
         )
-        driver = CampaignDriver(spec)
-        report = driver.run()
+        report = CampaignDriver(spec).run()
         assert report.ok and report.executed == 4
         (outcome,) = report.outcomes
         assert len(outcome.job.variants) == 2
         assert simulator.stats["runs"] == 3  # baseline deduplicated
-        _header, entries = load_manifest_entries(report.manifest_path)
-        assert {e["config"]: e["key"] for e in entries} == {
-            point.config: driver._point_job_key(point) for point in report.points
-        }
+        configs = {c.name: c.resolve() for c in spec.configs}
         for point in report.points:
             runner = WorkloadRunner(
                 "BP",
                 scale=TraceScale.TINY,
-                ndp_configuration=driver._configs[point.config],
+                ndp_configuration=configs[point.config],
             )
             expected = [runner.run(p, cache=False) for p in (BASELINE, NDP_CTRL_TMAP)]
             assert report.result_for(point) == expected[point.policy != "baseline"]
@@ -462,6 +455,44 @@ class TestDriver:
         simulator.stats["runs"] = 0
         again = CampaignDriver(spec).run()
         assert again.cache_hits == 4 and simulator.stats["runs"] == 0
+
+    def test_plans_the_same_jobs_as_the_suite(self, monkeypatch):
+        """One planner: for a rectangular product the campaign hands
+        ``run_supervised`` exactly the job list the suite does."""
+        from repro.core import experiment
+        from repro.core.policies import NDP_CTRL_TMAP
+
+        dispatched = []
+        monkeypatch.setattr(
+            experiment, "run_supervised", lambda jobs, **_: dispatched.append(jobs) or []
+        )
+        spec = CampaignSpec.from_dict(
+            {
+                "name": "rect",
+                "workloads": ["BP", "BFS"],
+                "policies": ["baseline", "ctrl+tmap"],
+                "scales": ["TINY"],
+                "seeds": [0],
+                "configs": [
+                    {"name": "default"},
+                    {
+                        "name": "halfbw",
+                        "overrides": {"links.cross_stack_gbps": 20.0},
+                    },
+                ],
+            }
+        )
+        CampaignDriver(spec).run()
+        experiment.run_suite_supervised(
+            (NDP_CTRL_TMAP,),
+            scale=TraceScale.TINY,
+            workloads=["BP", "BFS"],
+            variants=[c.resolve() for c in spec.configs],
+        )
+        campaign_jobs, suite_jobs = dispatched
+        assert [job.workload for job in suite_jobs] == ["BP", "BFS"]
+        assert all(len(job.variants) == 2 for job in suite_jobs)
+        assert campaign_jobs == suite_jobs
 
 
 class TestCli:
@@ -483,6 +514,7 @@ class TestCli:
         assert cli.main(["campaign", "status", str(spec)]) == 0
         out = capsys.readouterr().out
         assert "cache hits" in out or "simulated" in out
+        assert "clic: config=default scale=TINY seed=0" in out  # roll-up
 
     def test_partial_run_exits_3(self, tmp_path, monkeypatch, capsys):
         spec = self._write_spec(tmp_path, name="flaky")
@@ -496,14 +528,6 @@ class TestCli:
         path.write_text('name = "x"\nworkloads = ["NOPE"]\npolicies = ["baseline"]\n')
         assert cli.main(["campaign", "run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_report_sniffs_manifest(self, tmp_path, capsys):
-        spec = self._write_spec(tmp_path, name="sniff")
-        assert cli.main(["campaign", "run", str(spec)]) == 0
-        capsys.readouterr()
-        manifest = default_manifest_path(load_spec(spec))
-        assert cli.main(["report", str(manifest)]) == 0
-        assert "sniff" in capsys.readouterr().out
 
     def test_figure_choices_match_registry(self):
         from repro.analysis.figures import FIGURE_BUILDERS

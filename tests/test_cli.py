@@ -33,38 +33,36 @@ class TestSuite:
         assert "SP:" in out and "RD:" in out
         assert "ctrl+tmap" in out
 
-    def test_failed_jobs_exit_3_then_resume(
-        self, capsys, monkeypatch, tmp_path
-    ):
+    def test_failed_jobs_exit_3_then_resume(self, capsys, monkeypatch):
         """A suite with a permanently failing job completes with
-        partial results, prints a failure summary, and exits 3; a
-        ``--resume`` run after the fault clears re-runs only the failed
-        point and exits 0."""
+        partial results, prints a failure summary, and exits 3; running
+        the same command after the fault clears simulates only the
+        failed workload (the result cache answers the rest), exits 0 and
+        prints what a clean run with the cache off prints."""
+        from repro.core import simulator
+
+        argv = ["suite", "--scale", "TINY", "--workloads", "SP", "RD"]
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert main(argv) == 0
+        clean = capsys.readouterr().out
+        monkeypatch.delenv("REPRO_NO_CACHE")
+
         monkeypatch.setenv("REPRO_FAULTS", "raise@job/SP")
-        manifest = str(tmp_path / "run.jsonl")
-        code = main(
-            ["suite", "--scale", "TINY", "--workloads", "SP", "RD",
-             "--max-retries", "0", "--manifest", manifest]
-        )
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == 3
         assert "RD:" in captured.out  # the healthy workload still printed
+        assert "SP:" not in captured.out
         assert "1 job(s) failed" in captured.err
-        assert "--resume" in captured.err
+        assert "re-run the same command" in captured.err
 
         monkeypatch.delenv("REPRO_FAULTS")
-        code = main(
-            ["suite", "--scale", "TINY", "--workloads", "SP", "RD",
-             "--max-retries", "0", "--manifest", manifest, "--resume"]
-        )
-        captured = capsys.readouterr()
-        assert code == 0
-        assert "SP:" in captured.out and "RD:" in captured.out
-
-    def test_resume_requires_manifest(self, capsys):
-        assert main(["suite", "--scale", "TINY", "--resume"]) == 2
-        assert "--resume requires --manifest" in capsys.readouterr().err
+        simulator.stats["runs"] = 0
+        assert main(argv) == 0
+        assert simulator.stats["runs"] == 5  # SP's baseline + 4 policies
+        assert capsys.readouterr().out == clean
 
     def test_malformed_jobs_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")

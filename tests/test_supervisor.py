@@ -1,7 +1,7 @@
-"""Tests for supervised job execution (repro.core.supervisor),
-run manifests (repro.core.manifest), and the supervised suite driver
-(run_suite_supervised): per-job fault isolation, timeouts and retries,
-manifest streaming + resume, and the strict run_suite contract.
+"""Tests for supervised job execution (repro.core.supervisor) and the
+supervised suite driver (run_suite_supervised): per-job fault
+isolation, timeouts and retries, re-runs that the result cache answers,
+and the strict run_suite contract.
 
 Crash and hang injections only ever target pooled runs (two or more
 jobs, ``jobs=2``): the inline path offers no containment, and an
@@ -10,14 +10,17 @@ jobs, ``jobs=2``): the inline path offers no containment, and an
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.config import SystemConfig, baseline_config, ndp_config
-from repro.core import manifest as manifest_mod
-from repro.core.experiment import run_suite, run_suite_supervised
-from repro.core.policies import NDP_CTRL_BMAP, NDP_CTRL_TMAP
+from repro.core import result_cache, simulator
+from repro.core.experiment import (
+    SuitePoint,
+    point_key,
+    run_suite,
+    run_suite_supervised,
+)
+from repro.core.policies import BASELINE, NDP_CTRL_BMAP, NDP_CTRL_TMAP
 from repro.core.supervisor import (
     JobFailure,
     SuiteJob,
@@ -147,7 +150,6 @@ class TestInjectedFailures:
         assert failure.workload == "SP"
         assert failure.policies == tuple(p.label for p in POLICIES)
         assert "SP" in failure.describe()
-        assert failure.to_dict()["kind"] == "error"
 
     def test_timeout_and_retry_exhaustion(self, no_persistent_cache, monkeypatch):
         """A hung worker trips the job timeout, is charged an attempt
@@ -210,88 +212,67 @@ class TestInjectedFailures:
         assert failure.workload == "SP"
 
 
-class TestManifestAndResume:
-    def _run(self, manifest_path, resume=False, workloads=("SP", "RD"), **kwargs):
+def _clean(monkeypatch, run):
+    """``run()`` with the cache off: the reference a re-run must match."""
+    monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    try:
+        return run()
+    finally:
+        monkeypatch.delenv("REPRO_NO_CACHE")
+
+
+class TestCacheResume:
+    """The result cache is the only completion record: after a partial
+    run, a plain re-run dispatches only the failed workload. Runs are
+    serial so ``simulator.stats`` counts every simulation."""
+
+    @pytest.fixture(autouse=True)
+    def _serial(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+        simulator.stats["runs"] = 0
+
+    def _run(self):
         return run_suite_supervised(
-            POLICIES,
-            scale=TraceScale.TINY,
-            workloads=list(workloads),
-            jobs=2,
-            manifest_path=str(manifest_path),
-            resume=resume,
-            **kwargs,
+            POLICIES, scale=TraceScale.TINY, workloads=["SP", "RD"]
         )
 
-    def test_manifest_records_every_outcome(
-        self, no_persistent_cache, tmp_path
-    ):
-        path = tmp_path / "run.jsonl"
-        report = self._run(path)
-        assert report.ok and not report.failures
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        header, entries = lines[0], lines[1:]
-        assert header["kind"] == "manifest"
-        assert header["run"]  # fingerprint present
-        assert {e["workload"] for e in entries} == {"SP", "RD"}
-        assert all(e["status"] == "ok" for e in entries)
-        assert all("results" in e for e in entries)
+    def test_cache_records_every_point(self):
+        report = self._run()
+        assert report.ok
+        for name in ("SP", "RD"):
+            for policy in (BASELINE, *POLICIES):
+                point = SuitePoint(name, TraceScale.TINY, 0, ndp_config(), policy)
+                key = point_key(point, baseline_config())
+                assert result_cache.load(key) == report.results[name][policy.label]
 
-    def test_resume_skips_completed_points(
-        self, no_persistent_cache, tmp_path, monkeypatch
-    ):
-        path = tmp_path / "run.jsonl"
-        first = self._run(path)
-        resumed = self._run(path, resume=True)
-        assert resumed.outcomes == []  # nothing re-ran
-        assert resumed.resumed == sum(len(v) for v in first.results.values())
-        for name in first.results:
-            for label in first.results[name]:
-                assert resumed.results[name][label] == first.results[name][label]
+    def test_rerun_skips_completed_points(self):
+        first = self._run()
+        simulator.stats["runs"] = 0
+        again = self._run()
+        assert again.outcomes == []  # nothing dispatched
+        assert simulator.stats["runs"] == 0
+        assert again.results == first.results
 
-    def test_resume_reruns_only_failed_points(
-        self, no_persistent_cache, tmp_path, monkeypatch
-    ):
-        path = tmp_path / "run.jsonl"
+    def test_rerun_dispatches_only_failed_workload(self, monkeypatch):
+        clean = _clean(monkeypatch, self._run)
         monkeypatch.setenv("REPRO_FAULTS", "raise@job/SP")
-        broken = self._run(path, max_retries=0)
+        broken = self._run()
         assert [f.workload for f in broken.failures] == ["SP"]
-        assert "SP" not in broken.results
+        assert set(broken.results) == {"RD"}
 
         monkeypatch.delenv("REPRO_FAULTS")
-        healed = self._run(path, resume=True, max_retries=0)
+        simulator.stats["runs"] = 0
+        healed = self._run()
         assert [o.job.workload for o in healed.outcomes] == ["SP"]
-        assert not healed.failures
-        assert set(healed.results) == {"SP", "RD"}
+        assert simulator.stats["runs"] == 2  # SP's baseline + ctrl+bmap
+        assert healed.ok and healed.results == clean.results
 
-    def test_resume_rejects_foreign_manifest(
-        self, no_persistent_cache, tmp_path
-    ):
-        path = tmp_path / "run.jsonl"
-        self._run(path)
-        with pytest.raises(ConfigError):
-            self._run(path, resume=True, seed=1)  # different run fingerprint
-
-    def test_resume_requires_manifest(self, no_persistent_cache):
-        with pytest.raises(ConfigError):
-            run_suite_supervised(
-                POLICIES, scale=TraceScale.TINY, workloads=["SP"], resume=True
-            )
-
-    def test_truncated_tail_tolerated(self, no_persistent_cache, tmp_path):
-        """A run killed mid-write leaves a partial last line; resume
-        must ignore it and re-run only what that line would have
-        covered."""
-        path = tmp_path / "run.jsonl"
-        self._run(path)
-        with open(path, "a") as handle:
-            handle.write('{"kind": "job", "workload": "SP", "stat')
-        resumed = self._run(path, resume=True)
-        assert not resumed.failures
-        assert set(resumed.results) == {"SP", "RD"}
-
-    def test_load_manifest_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
-            manifest_mod.load_manifest(str(tmp_path / "absent.jsonl"))
+    def test_no_cache_keeps_no_completion_record(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        self._run()
+        again = self._run()
+        assert [o.job.workload for o in again.outcomes] == ["SP", "RD"]
 
 
 #: Two Section 6.5 cross-stack bandwidth ratios: one supervised job per
@@ -299,80 +280,56 @@ class TestManifestAndResume:
 SWEEP = (ndp_config(cross_stack_ratio=0.25), ndp_config(cross_stack_ratio=1.0))
 
 
-def _sweep(manifest_path=None, resume=False, variants=SWEEP, **kwargs):
+def _sweep(variants=SWEEP, **kwargs):
     return run_suite_supervised(
         (NDP_CTRL_TMAP,),
         scale=TraceScale.TINY,
         workloads=["SP", "RD", "BP"],
         jobs=2,
         variants=variants,
-        manifest_path=str(manifest_path) if manifest_path else None,
-        resume=resume,
         **kwargs,
     )
 
 
-def _job_keys(name, variants=SWEEP):
-    return [
-        manifest_mod.job_key(name, TraceScale.TINY, 0, cfg, baseline_config())
-        for cfg in variants
-    ]
-
-
 class TestVariantSweeps:
-    def test_job_fault_fails_the_workload_in_every_variant(
-        self, no_persistent_cache, monkeypatch, tmp_path
-    ):
+    def test_job_fault_fails_the_workload_in_every_variant(self, monkeypatch):
         """A fault injected at ``job/SP`` fails SP's one job, which
-        carries every variant: SP is missing from every variant and
-        recorded failed under every variant's manifest key, the other
-        workloads match a clean sweep bit for bit, and a resume re-runs
-        only SP's job."""
-        clean = _sweep()
-        path = tmp_path / "sweep.jsonl"
+        carries every variant: SP is missing from every variant, the
+        other workloads match a clean sweep bit for bit, and a re-run
+        dispatches only SP's job."""
+        clean = _clean(monkeypatch, _sweep)
         monkeypatch.setenv("REPRO_FAULTS", "raise@job/SP")
-        broken = _sweep(path, max_retries=0)
+        broken = _sweep(max_retries=0)
         assert [f.workload for f in broken.failures] == ["SP"]
         assert len(broken.results) == len(SWEEP)
         for got, expected in zip(broken.results, clean.results):
             assert "SP" not in got
             assert got == {k: v for k, v in expected.items() if k != "SP"}
-        _header, entries = manifest_mod.load_manifest(path)
-        for key in _job_keys("SP"):
-            assert entries[key]["status"] == "failed"
 
         monkeypatch.delenv("REPRO_FAULTS")
-        healed = _sweep(path, resume=True, max_retries=0)
+        healed = _sweep(max_retries=0)
         assert [o.job.workload for o in healed.outcomes] == ["SP"]
         assert healed.ok and healed.results == clean.results
 
-    def test_manifest_records_each_variant_under_its_job_key(
-        self, no_persistent_cache, tmp_path
-    ):
-        """One entry per (workload, variant), keyed exactly as a
-        one-variant run of that configuration keys it."""
-        path = tmp_path / "sweep.jsonl"
-        report = _sweep(path)
-        _header, entries = manifest_mod.load_manifest(path)
-        for name in ("SP", "RD", "BP"):
-            for key, results in zip(_job_keys(name), report.results):
-                restored = manifest_mod.completed_results(entries[key])
-                assert restored == results[name]
+    def test_cache_records_each_variant_under_its_key(self):
+        """Each variant's points are stored under the keys a one-variant
+        run of that configuration uses, so such a run reads them back
+        without dispatching anything."""
+        report = _sweep()
+        for config, results in zip(SWEEP, report.results):
+            single = run_suite_supervised(
+                (NDP_CTRL_TMAP,),
+                scale=TraceScale.TINY,
+                workloads=["SP", "RD", "BP"],
+                ndp_configuration=config,
+            )
+            assert single.outcomes == [] and single.results == results
 
-    def test_resume_with_other_variants_is_refused(
-        self, no_persistent_cache, tmp_path
-    ):
-        path = tmp_path / "sweep.jsonl"
-        _sweep(path)
-        again = _sweep(path, resume=True)
-        assert again.outcomes == [] and again.resumed == 2 * 3 * 2
-        for variants in (
-            SWEEP[:1],
-            SWEEP[::-1],
-            (SWEEP[0], ndp_config(cross_stack_ratio=0.5)),
-        ):
-            with pytest.raises(ConfigError):
-                _sweep(path, resume=True, variants=variants)
+    def test_rerun_with_other_variants_simulates_only_new_ones(self):
+        _sweep()
+        extra = ndp_config(cross_stack_ratio=0.5)
+        again = _sweep(variants=(SWEEP[0], extra))
+        assert [o.job.variants for o in again.outcomes] == [(extra,)] * 3
 
     def test_variants_and_ndp_configuration_are_exclusive(self):
         with pytest.raises(ConfigError):

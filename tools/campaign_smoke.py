@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """End-to-end campaign drill (gating in CI; docs/CAMPAIGNS.md).
 
-Three acts over one tiny declared product:
+Four acts over one tiny declared product:
 
 1. a cold ``campaign run`` of a 2x2 product (2 workloads x 2 policies,
    TINY) — every point must simulate exactly once;
@@ -10,7 +10,10 @@ Three acts over one tiny declared product:
    criterion of the campaign layer, checked against the simulator's
    process-local run counter, hence ``REPRO_JOBS=1`` inline execution);
 3. ``campaign status`` — must classify the campaign as complete and
-   exit 0 semantics (done).
+   exit 0 semantics (done);
+4. a pass over a fresh cache with a fault injected into BFS's job — it
+   must come back partial — then a plain pass, which must simulate
+   exactly BFS's points: the result cache is the only completion record.
 
 Run from the repository root::
 
@@ -34,10 +37,9 @@ def fail(message: str) -> None:
 
 def main() -> None:
     scratch = tempfile.mkdtemp(prefix="repro-campaign-smoke-")
-    # Isolated cache + campaign state; serial inline execution so the
-    # in-process simulator.stats counter sees every run.
+    # Isolated cache; serial inline execution so the in-process
+    # simulator.stats counter sees every run.
     os.environ["REPRO_CACHE_DIR"] = os.path.join(scratch, "cache")
-    os.environ["REPRO_CAMPAIGN_DIR"] = os.path.join(scratch, "campaigns")
     os.environ["REPRO_JOBS"] = "1"
     os.environ.pop("REPRO_NO_CACHE", None)
     os.environ.pop("REPRO_FAULTS", None)
@@ -56,7 +58,7 @@ def main() -> None:
     )
     expected = len(WORKLOADS) * len(POLICIES)
 
-    print(f"[1/3] cold campaign run ({expected} points) ...")
+    print(f"[1/4] cold campaign run ({expected} points) ...")
     simulator.stats["runs"] = 0
     first = CampaignDriver(spec).run()
     if not first.ok:
@@ -67,7 +69,7 @@ def main() -> None:
             f"{simulator.stats['runs']} simulations, expected {expected}"
         )
 
-    print("[2/3] re-run over the completed product (zero simulations) ...")
+    print("[2/4] re-run over the completed product (zero simulations) ...")
     simulator.stats["runs"] = 0
     second = CampaignDriver(spec).run()
     if not second.ok or second.cache_hits != expected:
@@ -78,10 +80,27 @@ def main() -> None:
     if simulator.stats["runs"] != 0:
         fail(f"re-run performed {simulator.stats['runs']} simulations")
 
-    print("[3/3] campaign status ...")
+    print("[3/4] campaign status ...")
     status = CampaignDriver(spec).status()
-    if not status.done or status.pending or status.failed:
+    if not status.done or status.pending:
         fail(f"status not done: {status.describe()}")
+
+    print("[4/4] fault in BFS's job, then a plain re-run over a fresh cache ...")
+    os.environ["REPRO_CACHE_DIR"] = os.path.join(scratch, "cache-fault")
+    os.environ["REPRO_FAULTS"] = "raise@job/BFS"
+    partial = CampaignDriver(spec).run(max_retries=0)
+    del os.environ["REPRO_FAULTS"]
+    if partial.ok or {p.workload for p in partial.failed_points} != {"BFS"}:
+        fail(f"faulted pass not partial on BFS: {partial.describe()}")
+    simulator.stats["runs"] = 0
+    healed = CampaignDriver(spec).run()
+    bfs_points = len(POLICIES)
+    if not healed.ok or healed.executed != bfs_points:
+        fail(f"re-run executed {healed.executed} points, expected {bfs_points}")
+    if simulator.stats["runs"] != bfs_points:
+        fail(f"re-run performed {simulator.stats['runs']} simulations, expected {bfs_points}")
+    if healed.results != first.results:
+        fail("re-run results diverged from the cold run")
 
     print("CAMPAIGN SMOKE OK")
 

@@ -3,12 +3,14 @@
 
 Four acts over one small suite grid:
 
-1. a clean run — the reference results;
-2. the same run with an injected worker crash and a manifest — the
-   crashing workload must fail *structurally* (a JobFailure, not a
-   dead suite) while every healthy point stays bit-identical;
-3. a ``resume`` after the fault clears — only the failed workload may
-   re-run, and the final results must match the reference exactly;
+1. a clean run with the result cache off — the reference results;
+2. the same run with an injected worker crash, the cache on in a fresh
+   temporary directory — the crashing workload must fail
+   *structurally* (a JobFailure, not a dead suite) while every healthy
+   point stays bit-identical;
+3. a plain re-run after the fault clears — the cache answers every
+   completed point, so only the failed workload may re-simulate, and
+   the final results must match the reference exactly;
 4. a fault injected into one *grid lane* — the lane must be evicted to
    a fresh scalar replay while the rest of the grid runs on, with every
    result still bit-identical.
@@ -36,7 +38,7 @@ def fail(message: str) -> None:
 
 
 def main() -> None:
-    # Isolate from any real cache and force actual simulation.
+    # Acts 1 and 4 force actual simulation; acts 2-3 use a private cache.
     os.environ["REPRO_NO_CACHE"] = "1"
     os.environ.pop("REPRO_FAULTS", None)
     os.environ.pop("REPRO_FAULTS_STATE", None)
@@ -62,11 +64,12 @@ def main() -> None:
         fail(f"clean run did not complete: {clean.failures}")
 
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = os.path.join(tmp, "run.jsonl")
+        del os.environ["REPRO_NO_CACHE"]
+        os.environ["REPRO_CACHE_DIR"] = tmp
 
         print(f"[2/4] crash injected into job/{CRASH_TARGET} ...")
         os.environ["REPRO_FAULTS"] = f"crash@job/{CRASH_TARGET}"
-        broken = run(manifest_path=manifest)
+        broken = run()
         del os.environ["REPRO_FAULTS"]
 
         if [f.workload for f in broken.failures] != [CRASH_TARGET]:
@@ -80,17 +83,18 @@ def main() -> None:
         print(f"      {CRASH_TARGET} failed structurally; "
               f"{', '.join(healthy)} bit-identical to clean run")
 
-        print("[3/4] resume after the fault cleared ...")
-        resumed = run(manifest_path=manifest, resume=True)
-        reran = [outcome.job.workload for outcome in resumed.outcomes]
+        print("[3/4] plain re-run after the fault cleared ...")
+        rerun = run()
+        reran = [outcome.job.workload for outcome in rerun.outcomes]
         if reran != [CRASH_TARGET]:
-            fail(f"resume re-ran {reran}, expected only [{CRASH_TARGET!r}]")
-        if resumed.failures:
-            fail(f"resume still failing: {resumed.failures}")
+            fail(f"re-run simulated {reran}, expected only [{CRASH_TARGET!r}]")
+        if rerun.failures:
+            fail(f"re-run still failing: {rerun.failures}")
         for name in WORKLOADS:
-            if resumed.results.get(name) != clean.results[name]:
-                fail(f"resumed workload {name} diverged from clean run")
-        print(f"      only {CRASH_TARGET} re-ran; full grid matches the reference")
+            if rerun.results.get(name) != clean.results[name]:
+                fail(f"re-run workload {name} diverged from clean run")
+        print(f"      only {CRASH_TARGET} re-simulated; full grid matches the reference")
+        os.environ["REPRO_NO_CACHE"] = "1"
 
     print(f"[4/4] fault injected into grid lane lane/{LANE_TARGET}/{LANE_POLICY} ...")
     from repro.core.experiment import WorkloadRunner
