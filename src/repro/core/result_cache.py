@@ -7,14 +7,13 @@ policy, scale, seed)`` combination pay its simulation cost exactly once
 — across processes (parallel suite workers share it) and across runs
 (it lives on disk).
 
-Layout: one JSON file per result under the cache directory, named by a
-SHA-256 over the canonical JSON of every input that determines the
-result:
+Layout: one file per result under the cache directory, named by a
+SHA-256 over every input that determines the result:
 
 * workload name, trace scale, trace seed;
 * the *trace* configuration (traces are built from the NDP config even
-  for baseline runs) and the *run* configuration, both as
-  ``dataclasses.asdict`` dictionaries;
+  for baseline runs) and the *run* configuration, each as the SHA-256 of
+  its canonical JSON (computed once per config instance and kept on it);
 * the policy label (and oracle position, when pinned);
 * a code version: a hash over every ``.py`` source file of the
   ``repro`` package, so any code change invalidates the whole cache.
@@ -30,14 +29,15 @@ Results are stored via the lossless JSON serialization in
 :mod:`repro.analysis.export` (imported lazily to keep the core layer
 import-free of the analysis layer).
 
-Integrity: every entry carries a SHA-256 checksum over the canonical
-JSON of its result payload, verified on load. Entries that fail any
-check — unreadable, unparseable, stale format, checksum mismatch,
-undecodable result — count in ``stats["corrupt"]``, log a one-line
-warning, and are *quarantined* (moved to ``<cache>/quarantine/``, not
-deleted) so a corruption bug can be diagnosed from the evidence; the
-load then behaves as a miss and the entry is rewritten. See
-``docs/ROBUSTNESS.md``.
+Entry format v3: a header line ``{"format":3,"checksum":"<sha256>"}``,
+then the result's compact JSON. The checksum covers exactly those
+result bytes, so a hit is one read, one hash and one parse. Entries
+that fail any check — unreadable, unparseable header, stale format,
+checksum mismatch, undecodable result — count in ``stats["corrupt"]``,
+log a one-line warning, and are *quarantined* (moved to
+``<cache>/quarantine/``, not deleted) so a corruption bug can be
+diagnosed from the evidence; the load then behaves as a miss and the
+entry is rewritten. See ``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations
@@ -58,7 +58,8 @@ from .results import SimulationResult
 
 #: Bump when the on-disk payload format changes.
 #: v2: payload checksum added (integrity verification + quarantine).
-_FORMAT_VERSION = 2
+#: v3: header line + result bytes; the checksum covers the stored bytes.
+_FORMAT_VERSION = 3
 
 #: Process-local counters, mainly for tests and diagnostics.
 stats = {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
@@ -71,11 +72,15 @@ def enabled() -> bool:
     return not env_flag("REPRO_NO_CACHE")
 
 
-def cache_dir() -> Path:
+def _cache_root() -> str:
     override = env_text("REPRO_CACHE_DIR").strip()
     if override:
-        return Path(override)
-    return Path.home() / ".cache" / "repro-tom"
+        return override
+    return os.path.join(os.path.expanduser("~"), ".cache", "repro-tom")
+
+
+def cache_dir() -> Path:
+    return Path(_cache_root())
 
 
 @lru_cache(maxsize=1)
@@ -92,8 +97,27 @@ def code_version() -> str:
     return digest.hexdigest()[:16]
 
 
-def _config_fingerprint(config: SystemConfig) -> dict:
-    return dataclasses.asdict(config)
+def _fields_of(section) -> dict:
+    """``json.dumps`` hook: a config dataclass as its field dictionary
+    (the same JSON ``dataclasses.asdict`` gives, without its deep copy)."""
+    return {
+        field.name: getattr(section, field.name)
+        for field in dataclasses.fields(section)
+    }
+
+
+def _config_digest(config: SystemConfig) -> str:
+    """SHA-256 of ``config``'s canonical JSON, computed once per instance
+    and kept on the (frozen) instance. Memoized by identity, not value:
+    ``1 == 1.0`` compares equal, but the two serialize differently."""
+    digest = config.__dict__.get("_cache_digest")
+    if digest is None:
+        canonical = json.dumps(
+            config, default=_fields_of, sort_keys=True, separators=(",", ":")
+        )
+        digest = hashlib.sha256(canonical.encode()).hexdigest()
+        object.__setattr__(config, "_cache_digest", digest)
+    return digest
 
 
 def cache_key(
@@ -114,16 +138,16 @@ def cache_key(
         "policy": policy_label,
         "scale": scale.name,
         "seed": seed,
-        "trace_config": _config_fingerprint(trace_config),
-        "run_config": _config_fingerprint(run_config),
+        "trace_config": _config_digest(trace_config),
+        "run_config": _config_digest(run_config),
         "oracle_position": oracle_position,
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _entry_path(key: str) -> Path:
-    return cache_dir() / f"{key}.json"
+def _entry_path(key: str) -> str:
+    return os.path.join(_cache_root(), key + ".json")
 
 
 def quarantine_dir() -> Path:
@@ -131,26 +155,20 @@ def quarantine_dir() -> Path:
     return cache_dir() / "quarantine"
 
 
-def _checksum(result_payload) -> str:
-    canonical = json.dumps(result_payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _quarantine(path: Path, reason: str) -> None:
+def _quarantine(path: str, reason: str) -> None:
     """Move a bad entry aside (never silently delete the evidence) and
     log a one-line warning; best-effort on filesystem errors."""
     stats["corrupt"] += 1
+    name = os.path.basename(path)
     try:
         directory = quarantine_dir()
         directory.mkdir(parents=True, exist_ok=True)
-        os.replace(path, directory / path.name)
-        _log.warning(
-            "result cache: quarantined corrupt entry %s (%s)", path.name, reason
-        )
+        os.replace(path, directory / name)
+        _log.warning("result cache: quarantined corrupt entry %s (%s)", name, reason)
     except OSError:
         _log.warning(
             "result cache: corrupt entry %s (%s) could not be quarantined",
-            path.name,
+            name,
             reason,
         )
 
@@ -165,43 +183,50 @@ def probe(key: str) -> bool:
     re-run as usual."""
     if not enabled():
         return False
-    return _entry_path(key).exists()
+    return os.path.exists(_entry_path(key))
 
 
 def load(key: str) -> Optional[SimulationResult]:
     """Fetch a cached result; ``None`` on miss (or when disabled).
 
-    A corrupt entry — unparseable, stale format, checksum mismatch, or
-    undecodable — counts as both ``corrupt`` and a miss, and is moved to
-    the quarantine directory rather than deleted."""
+    A corrupt entry — unreadable, unparseable header, stale format,
+    checksum mismatch, or undecodable result — counts as both
+    ``corrupt`` and a miss, and is moved to the quarantine directory
+    rather than deleted."""
     if not enabled():
         return None
     path = _entry_path(key)
     try:
-        with open(path, "r") as handle:
-            payload = json.load(handle)
+        with open(path, "rb") as handle:
+            data = handle.read()
     except FileNotFoundError:
         stats["misses"] += 1
         return None
-    except (OSError, ValueError) as error:
+    except OSError as error:
         _quarantine(path, f"unreadable: {error}")
         stats["misses"] += 1
         return None
+    header, _, body = data.partition(b"\n")
     reason = None
     result = None
-    if not isinstance(payload, dict) or "result" not in payload:
-        reason = "malformed payload"
-    elif payload.get("format") != _FORMAT_VERSION:
-        reason = f"stale format {payload.get('format')!r}"
-    elif payload.get("checksum") != _checksum(payload["result"]):
-        reason = "checksum mismatch"
+    try:
+        meta = json.loads(header)
+    except ValueError as error:
+        reason = f"unreadable: {error}"
     else:
-        from ..analysis.export import result_from_dict
+        if not isinstance(meta, dict):
+            reason = "malformed payload"
+        elif meta.get("format") != _FORMAT_VERSION:
+            reason = f"stale format {meta.get('format')!r}"
+        elif meta.get("checksum") != hashlib.sha256(body).hexdigest():
+            reason = "checksum mismatch"
+        else:
+            from ..analysis.export import result_from_dict
 
-        try:
-            result = result_from_dict(payload["result"])
-        except (KeyError, TypeError, ValueError) as error:
-            reason = f"undecodable result: {error}"
+            try:
+                result = result_from_dict(json.loads(body))
+            except (KeyError, TypeError, ValueError) as error:
+                reason = f"undecodable result: {error}"
     if reason is not None:
         _quarantine(path, reason)
         stats["misses"] += 1
@@ -218,23 +243,22 @@ def store(key: str, result: SimulationResult) -> None:
         return
     from ..analysis.export import result_to_dict
 
-    result_payload = result_to_dict(result)
-    payload = {
-        "format": _FORMAT_VERSION,
-        "checksum": _checksum(result_payload),
-        "result": result_payload,
-    }
-    data = json.dumps(payload).encode()
+    # Insertion order, not sorted keys: a warm result's dicts iterate
+    # exactly as the cold one's did.
+    body = json.dumps(result_to_dict(result), separators=(",", ":")).encode()
+    header = json.dumps(
+        {"format": _FORMAT_VERSION, "checksum": hashlib.sha256(body).hexdigest()},
+        separators=(",", ":"),
+    ).encode()
+    data = header + b"\n" + body
     from ..testing import faults
 
     if faults.active():
         data = faults.corrupt_payload(f"cache/{key}", data)
-    directory = cache_dir()
+    directory = _cache_root()
     try:
-        directory.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".tmp-", suffix=".json", dir=str(directory)
-        )
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp_name = tempfile.mkstemp(prefix=".tmp-", suffix=".json", dir=directory)
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)

@@ -31,8 +31,10 @@ Sites currently instrumented:
   ``crash`` calls ``os._exit`` (simulating an OOM kill / segfault).
 * ``cache/<KEY>`` — checked by :func:`repro.core.result_cache.store`;
   ``corrupt-cache`` mangles the payload bytes on their way to disk
-  (``flip`` perturbs one digit so the JSON stays parseable but the
-  checksum fails; ``truncate`` cuts the file so parsing itself fails).
+  (``flip`` perturbs one digit of the result bytes, after the header
+  line, so the JSON stays parseable but the checksum fails;
+  ``truncate`` cuts the entry in half, so the result bytes no longer
+  match the checksum either and would not parse).
 
 Firing counts (``n=``) are process-local unless ``REPRO_FAULTS_STATE``
 names a directory, in which case claims are recorded as exclusively
@@ -256,9 +258,11 @@ def corrupt_payload(site: str, data: bytes) -> bytes:
 
 
 def _flip_digit(data: bytes) -> bytes:
-    """Perturb the first decimal digit so the JSON still parses but the
-    payload checksum no longer matches."""
-    for i, byte in enumerate(data):
+    """Perturb the first decimal digit after the first line (a cache
+    entry's header line, whose first digit is the format version) so
+    the JSON still parses but the payload checksum no longer matches."""
+    for i in range(data.find(b"\n") + 1, len(data)):
+        byte = data[i]
         if 0x30 <= byte <= 0x39:  # '0'..'9'
             flipped = 0x30 + ((byte - 0x30 + 1) % 10)
             return data[:i] + bytes((flipped,)) + data[i + 1 :]

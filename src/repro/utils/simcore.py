@@ -324,6 +324,10 @@ class Process:
         except StopIteration as stop:
             self.finished = True
             self.result = stop.value
+            # The cached bound methods point back at the process; drop
+            # them so a finished process is freed by reference counting
+            # instead of waiting as cyclic garbage for the collector.
+            del self._resume, self._resume_value
             self.done_event.succeed(stop.value)
             return
         handler = _DISPATCH.get(request.__class__)

@@ -204,5 +204,9 @@ class TestCorruptPayload:
         monkeypatch.setenv("REPRO_FAULTS", "raise;crash;hang")
         assert corrupt_payload("cache/abc", self.PAYLOAD) == self.PAYLOAD
 
+    def test_flip_skips_the_header_line(self):
+        header = b'{"format":3,"checksum":"00"}\n'
+        assert faults._flip_digit(header + b'{"cycles":41}') == header + b'{"cycles":51}'
+
     def test_flip_without_digits_appends(self):
         assert faults._flip_digit(b"{}") == b"{} "

@@ -6,13 +6,17 @@ fixture in conftest.py), so nothing touches the user's real cache.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import logging
 
 import pytest
 
-from repro import TraceScale, WorkloadRunner, ndp_config
+from repro import TraceScale, WorkloadRunner, baseline_config, ndp_config
+from repro.analysis import figures
 from repro.analysis.export import result_from_dict, result_to_dict
 from repro.analysis.figures import run_figure8_suite
+from repro.config import SystemConfig
 from repro.core import result_cache
 from repro.core.policies import NDP_CTRL_BMAP
 from repro.core.simulator import Simulator
@@ -23,7 +27,9 @@ def _fresh_stats():
     result_cache.reset_stats()
 
 
-def _key(policy=NDP_CTRL_BMAP, seed=0, scale=TraceScale.TINY, config=None):
+def _key(
+    policy=NDP_CTRL_BMAP, seed=0, scale=TraceScale.TINY, config=None, run_config=None
+):
     config = config or ndp_config()
     return result_cache.cache_key(
         workload="SP",
@@ -31,8 +37,54 @@ def _key(policy=NDP_CTRL_BMAP, seed=0, scale=TraceScale.TINY, config=None):
         scale=scale,
         seed=seed,
         trace_config=config,
-        run_config=config,
+        run_config=run_config or config,
     )
+
+
+def _read_entry(path):
+    """A v3 entry as (header dict, result dict)."""
+    header, _, body = path.read_bytes().partition(b"\n")
+    return json.loads(header), json.loads(body)
+
+
+def _write_entry(path, header, result_payload):
+    path.write_bytes(
+        json.dumps(header).encode()
+        + b"\n"
+        + json.dumps(result_payload, separators=(",", ":")).encode()
+    )
+
+
+def _leaf_paths(config, prefix=()):
+    """(section, ..., field) name paths of every non-dataclass field."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _leaf_paths(value, prefix + (field.name,))
+        else:
+            yield prefix + (field.name,)
+
+
+def _with_leaf(config, path, value):
+    """``config`` with the leaf at ``path`` replaced (unvalidated)."""
+    if len(path) == 1:
+        return dataclasses.replace(config, **{path[0]: value})
+    section = _with_leaf(getattr(config, path[0]), path[1:], value)
+    return dataclasses.replace(config, **{path[0]: section})
+
+
+def _leaf(config, path):
+    for name in path:
+        config = getattr(config, name)
+    return config
+
+
+def _changed(value):
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    return value * 2 + 0.5
 
 
 class TestCacheKey:
@@ -51,6 +103,39 @@ class TestCacheKey:
         baseline = _key()
         monkeypatch.setattr(result_cache, "code_version", lambda: "different")
         assert _key() != baseline
+
+    def test_equal_configs_built_separately_share_a_key(self):
+        first, second = ndp_config(), ndp_config()
+        assert first is not second
+        assert _key(config=first) == _key(config=second)
+        assert _key(config=first, run_config=baseline_config()) == _key(
+            config=second, run_config=baseline_config()
+        )
+
+    def test_every_leaf_field_is_in_the_key(self):
+        """Changing any one leaf of the trace or the run configuration
+        changes the key."""
+        base = ndp_config()
+        reference = _key(config=base)
+        paths = list(_leaf_paths(base))
+        assert len(paths) > 50
+        for path in paths:
+            changed = _with_leaf(base, path, _changed(_leaf(base, path)))
+            assert _key(config=changed, run_config=base) != reference, path
+            assert _key(config=base, run_config=changed) != reference, path
+
+    def test_int_swapped_for_equal_float_changes_the_key(self):
+        """The per-instance digest is not a by-value memo: ``1 == 1.0``
+        but the two serialize differently, so their keys differ."""
+        base = ndp_config()
+        reference = _key(config=base)
+        int_paths = [p for p in _leaf_paths(base) if type(_leaf(base, p)) is int]
+        assert int_paths
+        for path in int_paths:
+            as_float = _with_leaf(base, path, float(_leaf(base, path)))
+            assert as_float == base
+            assert _key(config=as_float, run_config=base) != reference, path
+            assert _key(config=base, run_config=as_float) != reference, path
 
 
 class TestRoundTrip:
@@ -159,9 +244,9 @@ class TestDisableAndCorruption:
         key = _key()
         result_cache.store(key, result)
         path = result_cache.cache_dir() / f"{key}.json"
-        payload = json.loads(path.read_text())
-        payload["format"] = -1
-        path.write_text(json.dumps(payload))
+        header, payload = _read_entry(path)
+        header["format"] = -1
+        _write_entry(path, header, payload)
         assert result_cache.load(key) is None
         assert result_cache.stats["corrupt"] == 1
 
@@ -172,16 +257,17 @@ class TestDisableAndCorruption:
         key = _key()
         result_cache.store(key, result)
         path = result_cache.cache_dir() / f"{key}.json"
-        payload = json.loads(path.read_text())
-        payload["result"]["cycles"] += 1
-        path.write_text(json.dumps(payload))
+        header, payload = _read_entry(path)
+        payload["cycles"] += 1
+        _write_entry(path, header, payload)
         assert result_cache.load(key) is None
         assert result_cache.stats["corrupt"] == 1
         assert (result_cache.quarantine_dir() / path.name).exists()
 
     def test_checksum_survives_honest_round_trip(self):
-        """The canonical-JSON checksum is stable under a store/load
-        round trip (key ordering and float formatting included)."""
+        """The checksum over the stored result bytes holds under a
+        store/load round trip (key ordering and float formatting
+        included)."""
         result = WorkloadRunner("SP", scale=TraceScale.TINY).run(NDP_CTRL_BMAP)
         key = _key()
         result_cache.store(key, result)
@@ -199,6 +285,19 @@ class TestDisableAndCorruption:
         assert first == second
         assert result_cache.stats["corrupt"] == 1
         assert list(result_cache.quarantine_dir().glob("*.json"))
+
+    def test_flip_fault_fails_the_checksum(self, monkeypatch, caplog):
+        """``corrupt-cache:mode=flip`` lands in the result bytes, not in
+        the header's format version, so it is caught by the checksum."""
+        result = WorkloadRunner("SP", scale=TraceScale.TINY).run(NDP_CTRL_BMAP)
+        key = _key()
+        monkeypatch.setenv("REPRO_FAULTS", "corrupt-cache:mode=flip")
+        result_cache.store(key, result)
+        monkeypatch.delenv("REPRO_FAULTS")
+        with caplog.at_level(logging.WARNING, logger="repro.result_cache"):
+            assert result_cache.load(key) is None
+        assert result_cache.stats["corrupt"] == 1
+        assert "(checksum mismatch)" in caplog.text
 
     def test_quarantined_entries_survive_clear(self):
         result = WorkloadRunner("SP", scale=TraceScale.TINY).run(NDP_CTRL_BMAP)
@@ -257,3 +356,52 @@ class TestWarmSuiteRunsNothing:
         monkeypatch.setattr(experiment, "build_trace", boom_trace)
         warm = run_figure8_suite(scale=TraceScale.TINY, seed=0)
         assert warm == cold
+
+    def test_warm_figure8_hashes_each_config_once(self, monkeypatch):
+        """A warm ``figure8`` serializes each distinct config object at
+        most once for its keys, and verifying an entry re-serializes
+        nothing: ``load`` makes no ``json.dumps`` call."""
+        figures.figure8(scale=TraceScale.TINY, seed=0)
+
+        serialized = []
+        fields_of = result_cache._fields_of
+        asdict = dataclasses.asdict
+
+        def spy_fields(section):
+            if isinstance(section, SystemConfig):
+                serialized.append(section)
+            return fields_of(section)
+
+        def spy_asdict(obj, *args, **kwargs):
+            serialized.append(obj)
+            return asdict(obj, *args, **kwargs)
+
+        dumps = json.dumps
+        in_load = []
+        dumps_in_load = []
+
+        def spy_dumps(*args, **kwargs):
+            if in_load:
+                dumps_in_load.append(args)
+            return dumps(*args, **kwargs)
+
+        load = result_cache.load
+
+        def spy_load(key):
+            in_load.append(key)
+            try:
+                return load(key)
+            finally:
+                in_load.pop()
+
+        monkeypatch.setattr(result_cache, "_fields_of", spy_fields)
+        monkeypatch.setattr(dataclasses, "asdict", spy_asdict)
+        monkeypatch.setattr(json, "dumps", spy_dumps)
+        monkeypatch.setattr(result_cache, "load", spy_load)
+        hits = result_cache.stats["hits"]
+        figures.figure8(scale=TraceScale.TINY, seed=0)
+
+        assert result_cache.stats["hits"] - hits == 50
+        assert serialized
+        assert len(serialized) == len({id(config) for config in serialized})
+        assert dumps_in_load == []

@@ -319,3 +319,36 @@ class TestSlotPool:
         assert pool.peak_in_use <= capacity
         assert pool.in_use == 0
         assert pool.total_gets == n_procs
+
+
+class TestFinishedProcessesAreNotCyclic:
+    def test_tiny_run_leaves_no_process_garbage(self, monkeypatch):
+        """A finished process drops its cached bound methods, so reference
+        counting frees it: a TINY run hands the collector no Process,
+        Event or generator."""
+        import gc
+        import types
+
+        from repro import TraceScale, WorkloadRunner
+        from repro.core.policies import BASELINE, NDP_CTRL_TMAP
+        from repro.utils.simcore import Process
+
+        monkeypatch.setenv("REPRO_ENGINE", "python")
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            runner = WorkloadRunner("CFD", scale=TraceScale.TINY)
+            runner.run(BASELINE)
+            runner.run(NDP_CTRL_TMAP)
+            del runner
+            gc.collect()
+            leaked = [
+                obj
+                for obj in gc.garbage
+                if isinstance(obj, (Process, Event, types.GeneratorType))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
