@@ -1,6 +1,10 @@
 """The trace-driven NDP GPU simulator.
 
-Every warp task becomes a coroutine process on the event engine. A
+Every warp task becomes a coroutine process on the event engine; every
+memory access it issues runs as a chain of engine callbacks
+(:class:`_MainAccess`, :class:`_StackAccess`, :class:`_StackLeg`),
+not as processes of its own — an access is a fixed sequence of link and
+vault reservations that never needs to suspend inside a function. A
 task holds a main-SM warp slot for its lifetime and walks its segments
 in order:
 
@@ -36,7 +40,7 @@ null recorder and results are bit-identical.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.metadata import MetadataEntry
 from ..config import SystemConfig
@@ -99,8 +103,9 @@ class Simulator:
         self.system = NDPSystem(
             config, policy, recorder=self._recorder, engine_backend=engine_backend
         )
+        self._engine = self.system.engine
         if self._trace_on:
-            self._recorder.bind(self.system.engine, self.system, config)
+            self._recorder.bind(self._engine, self.system, config)
         self.line_bits = ilog2(config.messages.cache_line_bytes)
 
         self._tmap: Optional[TransparentDataMapping] = None
@@ -274,110 +279,10 @@ class Simulator:
         self._main_warp_instructions += segment.n_instructions
         yield Acquire(sm.issue, segment.n_instructions)
         if segment.accesses:
-            engine = self.system.engine
-            procs = [
-                engine.process(self._main_access(sm, access, learning))
-                for access in segment.accesses
+            chains = [
+                _MainAccess(self, sm, access, learning) for access in segment.accesses
             ]
-            yield AllOf(procs)
-
-    def _main_access(self, sm, access: WarpAccess, learning: bool):
-        lines = access.line_addresses
-        line_ids = access.line_ids(self.line_bits)
-        if access.is_store:
-            sm.l1.store_all(line_ids)
-            self.system.l2.store_all(line_ids)
-            off_chip: Sequence[int] = lines
-        else:
-            miss_lines, miss_ids = sm.l1.load_misses(lines, line_ids)
-            off_chip = []
-            if miss_ids:
-                off_chip, _ = self.system.l2.load_misses(miss_lines, miss_ids)
-                if len(off_chip) < len(miss_lines):  # at least one L2 hit
-                    yield Timeout(_L2_HIT_LATENCY)
-        if not off_chip:
-            return
-
-        if learning:
-            yield from self._pcie_access(off_chip, access)
-            return
-
-        groups = self._group_by_stack(off_chip)
-        if self._trace_on:
-            self._recorder.access(
-                "gpu",
-                access.is_store,
-                {stack: len(group) for stack, group in groups.items()},
-            )
-        engine = self.system.engine
-        procs = [
-            engine.process(
-                self._gpu_offchip_group(stack, group, access, len(off_chip))
-            )
-            for stack, group in groups.items()
-        ]
-        yield AllOf(procs)
-
-    def _pcie_access(self, lines: Sequence[int], access: WarpAccess):
-        """Learning phase: data still lives in CPU memory (Section 4.3
-        step 2); the PCI-E link carries both directions' bytes."""
-        packets = self.system.packets
-        if access.is_store:
-            n_bytes = packets.store_request(len(lines), access.active_lanes)
-            n_bytes += packets.store_ack(len(lines))
-        else:
-            n_bytes = packets.load_request(len(lines)) + packets.load_reply(len(lines))
-        yield Acquire(self.system.fabric.pcie, n_bytes)
-
-    def _gpu_offchip_group(
-        self, stack: int, lines: Sequence[int], access: WarpAccess, total_lines: int
-    ):
-        """One warp access's lines bound for one memory stack."""
-        fabric = self.system.fabric
-        packets = self.system.packets
-        lanes = max(1, round(access.active_lanes * len(lines) / total_lines))
-        if access.is_store:
-            yield Acquire(fabric.tx[stack], packets.store_request(len(lines), lanes))
-        else:
-            yield Acquire(fabric.tx[stack], packets.load_request(len(lines)))
-        yield from self._dram_service(stack, lines)
-        if access.is_store:
-            yield Acquire(fabric.rx[stack], packets.store_ack(len(lines)))
-        else:
-            yield Acquire(fabric.rx[stack], packets.load_reply(len(lines)))
-
-    def _dram_service(self, stack: int, lines: Sequence[int]):
-        """Book every line on its vault; wait for the slowest.
-
-        Vault routing for the whole group comes from one batched
-        ``vault_of_many`` call. When the group lands on a single vault
-        it is booked with one ``service_batch`` call; otherwise — the
-        common case, since vault interleaving spreads consecutive lines
-        on purpose — one ``service_scatter`` call walks the lines with
-        the vault booking inlined. Booking order is line order either
-        way, so open-row state, stats, and times stay bit-identical."""
-        line_bytes = self.config.messages.cache_line_bytes
-        memory = self.system.stacks[stack]
-        engine = self.system.engine
-        now = engine.now
-        if len(lines) == 1:
-            line = lines[0]
-            vault = int(self.mapping.vault_of(line))
-            completion = memory.service(vault, line, line_bytes)
-            if completion < now:
-                completion = now
-        else:
-            vaults = self.mapping.vault_of_many(lines)
-            first = vaults[0]
-            if all(vault == first for vault in vaults):
-                completion = memory.service_batch(first, lines, line_bytes)
-                if completion < now:
-                    completion = now
-            else:
-                completion = memory.service_scatter(vaults, lines, line_bytes)
-        delay = completion - now
-        if delay > 0:
-            yield Timeout(delay)
+            yield AllOf(self._start_all(chains))
 
     # -- offloaded execution -------------------------------------------------
 
@@ -407,14 +312,11 @@ class Simulator:
         self._stack_warp_instructions += segment.n_instructions
         yield Acquire(stack_sm.issue, segment.n_instructions)
         if segment.accesses:
-            engine = system.engine
-            procs = [
-                engine.process(
-                    self._stack_access(stack_sm, destination, access, ideal)
-                )
+            chains = [
+                _StackAccess(self, stack_sm, destination, access, ideal)
                 for access in segment.accesses
             ]
-            yield AllOf(procs)
+            yield AllOf(self._start_all(chains))
 
         dirty = system.coherence.collect_dirty_lines(stack_sm.l1) if not ideal else set()
         yield Put(stack_sm.slots)
@@ -426,82 +328,30 @@ class Simulator:
             yield Timeout(system.coherence.after_offload(requester_sm.l1, dirty))
         system.controller.complete(destination)
 
-    def _stack_access(self, stack_sm, home: int, access: WarpAccess, ideal: bool):
-        lines = access.line_addresses
-        line_ids = access.line_ids(self.line_bits)
-        walk_procs = []
-        if self.system.translations is not None and not ideal:
-            walks = self.system.translations[home].translate(lines)
-            engine = self.system.engine
-            walk_procs = [
-                engine.process(self._page_walk(home, walk)) for walk in walks
-            ]
+    # -- DRAM service times ------------------------------------------------
 
-        if access.is_store:
-            stack_sm.l1.store_all(line_ids)
-            off_chip: Sequence[int] = lines
-        else:
-            off_chip, _ = stack_sm.l1.load_misses(lines, line_ids)
-        if walk_procs:
-            yield AllOf(walk_procs)
-        if not off_chip:
-            return
-        if ideal:
-            # Perfect co-location: every line is served by the home stack.
-            if self._trace_on:
-                self._recorder.access(
-                    f"stack{home}", access.is_store, {home: len(off_chip)}
-                )
-            yield from self._dram_service_local(home, off_chip)
-            return
+    def _dram_completion(self, stack: int, lines: Sequence[int]) -> float:
+        """Book every line on its vault; returns when the slowest is done.
 
-        groups = self._group_by_stack(off_chip)
-        if self._trace_on:
-            self._recorder.access(
-                f"stack{home}",
-                access.is_store,
-                {stack: len(group) for stack, group in groups.items()},
-            )
-        engine = self.system.engine
-        procs = []
-        for stack, group in groups.items():
-            if stack == home:
-                procs.append(engine.process(self._dram_service(home, group)))
-            else:
-                procs.append(
-                    engine.process(
-                        self._remote_group(home, stack, group, access, len(off_chip))
-                    )
-                )
-        yield AllOf(procs)
+        Vault routing for the whole group comes from one batched
+        ``vault_of_many`` call. When the group lands on a single vault
+        it is booked with one ``service_batch`` call; otherwise — the
+        common case, since vault interleaving spreads consecutive lines
+        on purpose — one ``service_scatter`` call walks the lines with
+        the vault booking inlined. Booking order is line order either
+        way, so open-row state, stats, and times stay bit-identical."""
+        line_bytes = self.config.messages.cache_line_bytes
+        memory = self.system.stacks[stack]
+        if len(lines) == 1:
+            line = lines[0]
+            return memory.service(int(self.mapping.vault_of(line)), line, line_bytes)
+        vaults = self.mapping.vault_of_many(lines)
+        first = vaults[0]
+        if all(vault == first for vault in vaults):
+            return memory.service_batch(first, lines, line_bytes)
+        return memory.service_scatter(vaults, lines, line_bytes)
 
-    def _page_walk(self, home: int, walk):
-        """Section 4.4.1: a stack-SM TLB miss walks the page table —
-        locally, or over the cross-stack links when the table page
-        lives in another stack."""
-        memory = self.system.stacks[walk.page_table_stack]
-        n_vaults = self.config.stacks.vaults_per_stack
-        vault = (walk.address >> self.line_bits) % n_vaults
-        if walk.page_table_stack == home:
-            completion = memory.service(vault, walk.address, walk.n_bytes)
-            delay = completion - self.system.engine.now
-            if delay > 0:
-                yield Timeout(delay)
-            return
-        fabric = self.system.fabric
-        yield Acquire(
-            fabric.cross_link(home, walk.page_table_stack),
-            self.config.messages.address_bytes,
-        )
-        completion = memory.service(vault, walk.address, walk.n_bytes)
-        delay = completion - self.system.engine.now
-        if delay > 0:
-            yield Timeout(delay)
-        yield Acquire(
-            fabric.cross_link(walk.page_table_stack, home), walk.n_bytes
-        )
-
-    def _dram_service_local(self, stack: int, lines: Sequence[int]):
+    def _local_completion(self, stack: int, lines: Sequence[int]) -> float:
         """Ideal-mode service: lines are forced onto the home stack's
         vaults (vault chosen by line bits for spread). Consecutive
         lines interleave across vaults, so the group books through one
@@ -509,39 +359,40 @@ class Simulator:
         bit-identical accounting, no grouping overhead."""
         line_bytes = self.config.messages.cache_line_bytes
         memory = self.system.stacks[stack]
-        now = self.system.engine.now
         if len(lines) == 1:
             line = lines[0]
             vault = (line >> self.line_bits) % self.config.stacks.vaults_per_stack
-            completion = memory.service(vault, line, line_bytes)
-            if completion < now:
-                completion = now
-        else:
-            completion = memory.service_interleaved(lines, line_bytes, self.line_bits)
-        delay = completion - now
-        if delay > 0:
-            yield Timeout(delay)
+            return memory.service(vault, line, line_bytes)
+        return memory.service_interleaved(lines, line_bytes, self.line_bits)
 
-    def _remote_group(
-        self, home: int, stack: int, lines: Sequence[int], access: WarpAccess, total: int
-    ):
-        """Stack-SM access to data in a different stack: request over the
-        cross-stack link, DRAM service there, reply back."""
-        fabric = self.system.fabric
-        packets = self.system.packets
-        lanes = max(1, round(access.active_lanes * len(lines) / total))
-        if access.is_store:
-            request = packets.store_request(len(lines), lanes)
-            reply = packets.store_ack(len(lines))
-        else:
-            request = packets.load_request(len(lines))
-            reply = packets.load_reply(len(lines))
-        there, back = fabric.cross_pair(home, stack)
-        yield Acquire(there, request)
-        yield from self._dram_service(stack, lines)
-        yield Acquire(back, reply)
+    def _walk_completion(self, walk) -> float:
+        """Section 4.4.1: one page-table read for a stack-SM TLB miss,
+        on the vault its address interleaves to."""
+        memory = self.system.stacks[walk.page_table_stack]
+        vault = (walk.address >> self.line_bits) % self.config.stacks.vaults_per_stack
+        return memory.service(vault, walk.address, walk.n_bytes)
 
     # -- helpers ---------------------------------------------------------------
+
+    def _start_all(self, chains: list) -> list:
+        """Start access chains as engine callbacks (one spawn event
+        each, in order); returns their ``done`` events to wait on."""
+        schedule = self._engine.schedule
+        for chain in chains:
+            schedule(0.0, chain.start)
+        return [chain.done for chain in chains]
+
+    def _packet_sizes(
+        self, access: WarpAccess, n_lines: int, total_lines: int
+    ) -> Tuple[int, int]:
+        """(request, reply) bytes for ``n_lines`` of an access's
+        ``total_lines`` off-chip lines; a store group's request carries
+        its share of the access's active lanes."""
+        packets = self.system.packets
+        if access.is_store:
+            lanes = max(1, round(access.active_lanes * n_lines / total_lines))
+            return packets.store_request(n_lines, lanes), packets.store_ack(n_lines)
+        return packets.load_request(n_lines), packets.load_reply(n_lines)
 
     def _group_by_stack(self, lines: Sequence[int]) -> Dict[int, List[int]]:
         """Stack index for every line in one batched ``stack_of_many``
@@ -607,6 +458,282 @@ class Simulator:
             l2_load_miss_rate=l2_stats.load_miss_rate,
             dram_row_hit_rate=system.dram_row_hit_rate(),
         )
+
+
+# -- access callback chains ----------------------------------------------------
+#
+# A warp access is a fixed chain of reservations that never needs to
+# suspend mid-function, so it runs as engine callbacks on small slotted
+# objects, not as processes. Each step makes the engine calls a process
+# would make, at the same points and in the same order: a spawn is one
+# ``schedule(0.0, start)``; a link transfer is ``reserve`` then
+# ``schedule_at(completion, next)``; a DRAM wait is ``schedule(delay,
+# next)`` only when ``delay > 0`` (else the next step runs inline); a
+# finished leg counts its parent down synchronously and the parent
+# resumes through one ``schedule(0.0, ...)`` — the engine's own
+# ``AllOf`` join. Events, their order and every result are therefore
+# unchanged. No object stores a bound method of itself, so a finished
+# chain is freed by reference counting, never left as cyclic garbage.
+
+
+class _MainAccess:
+    """One warp access on the main GPU: L1 and L2 filter its lines, the
+    off-chip rest fans out as one :class:`_StackLeg` per stack (or one
+    PCI-E transfer during the learning phase). ``done`` fires when the
+    last line is back; the warp's ``AllOf`` waits on it."""
+
+    __slots__ = ("sim", "sm", "access", "learning", "done", "lines", "pending")
+
+    def __init__(self, sim: Simulator, sm, access: WarpAccess, learning: bool) -> None:
+        self.sim = sim
+        self.sm = sm
+        self.access = access
+        self.learning = learning
+        self.done = sim._engine.event()
+
+    def start(self) -> None:
+        sim = self.sim
+        access = self.access
+        lines = access.line_addresses
+        line_ids = access.line_ids(sim.line_bits)
+        if access.is_store:
+            self.sm.l1.store_all(line_ids)
+            sim.system.l2.store_all(line_ids)
+            self.lines = lines
+        else:
+            miss_lines, miss_ids = self.sm.l1.load_misses(lines, line_ids)
+            self.lines = []
+            if miss_ids:
+                self.lines, _ = sim.system.l2.load_misses(miss_lines, miss_ids)
+                if len(self.lines) < len(miss_lines):  # at least one L2 hit
+                    sim._engine.schedule(_L2_HIT_LATENCY, self._issue)
+                    return
+        self._issue()
+
+    def _issue(self) -> None:
+        off_chip = self.lines
+        if not off_chip:
+            self.done.succeed()
+            return
+        sim = self.sim
+        system = sim.system
+        access = self.access
+        if self.learning:
+            # Data still lives in CPU memory (Section 4.3 step 2); the
+            # PCI-E link carries both directions' bytes.
+            packets = system.packets
+            if access.is_store:
+                n_bytes = packets.store_request(len(off_chip), access.active_lanes)
+                n_bytes += packets.store_ack(len(off_chip))
+            else:
+                n_bytes = packets.load_request(len(off_chip))
+                n_bytes += packets.load_reply(len(off_chip))
+            sim._engine.schedule_at(
+                system.fabric.pcie.reserve(n_bytes), self.done.succeed
+            )
+            return
+
+        groups = sim._group_by_stack(off_chip)
+        if sim._trace_on:
+            sim._recorder.access(
+                "gpu",
+                access.is_store,
+                {stack: len(group) for stack, group in groups.items()},
+            )
+        fabric = system.fabric
+        schedule = sim._engine.schedule
+        total = len(off_chip)
+        for stack, group in groups.items():
+            request, reply = sim._packet_sizes(access, len(group), total)
+            leg = _StackLeg(
+                self, sim, stack, group, None,
+                fabric.tx[stack], request, fabric.rx[stack], reply,
+            )
+            schedule(0.0, leg.start)
+        self.pending = len(groups)
+
+    def joined(self) -> None:
+        self.done.succeed()
+
+
+class _StackAccess:
+    """One warp access on a stack SM: TLB-miss page walks (when
+    translation is on) run first, then the L1 misses fan out as one
+    :class:`_StackLeg` per stack — the home stack's vaults directly,
+    any other stack over the cross-stack links. Under the ideal policy
+    every line is served by the home stack."""
+
+    __slots__ = (
+        "sim", "stack_sm", "home", "access", "ideal", "done", "lines", "pending",
+        "routed",
+    )
+
+    def __init__(
+        self, sim: Simulator, stack_sm, home: int, access: WarpAccess, ideal: bool
+    ) -> None:
+        self.sim = sim
+        self.stack_sm = stack_sm
+        self.home = home
+        self.access = access
+        self.ideal = ideal
+        self.done = sim._engine.event()
+        self.routed = False
+
+    def start(self) -> None:
+        sim = self.sim
+        home = self.home
+        access = self.access
+        lines = access.line_addresses
+        line_ids = access.line_ids(sim.line_bits)
+        n_walks = 0
+        translations = sim.system.translations
+        if translations is not None and not self.ideal:
+            # Section 4.4.1: a TLB miss walks the page table — locally,
+            # or over the cross-stack links when the table page lives
+            # in another stack.
+            walks = translations[home].translate(lines)
+            fabric = sim.system.fabric
+            address_bytes = sim.config.messages.address_bytes
+            schedule = sim._engine.schedule
+            for walk in walks:
+                table = walk.page_table_stack
+                if table == home:
+                    leg = _StackLeg(self, sim, table, None, walk)
+                else:
+                    there, back = fabric.cross_pair(home, table)
+                    leg = _StackLeg(
+                        self, sim, table, None, walk,
+                        there, address_bytes, back, walk.n_bytes,
+                    )
+                schedule(0.0, leg.start)
+            n_walks = len(walks)
+
+        if access.is_store:
+            self.stack_sm.l1.store_all(line_ids)
+            self.lines = lines
+        else:
+            self.lines, _ = self.stack_sm.l1.load_misses(lines, line_ids)
+        if n_walks:
+            self.pending = n_walks
+        else:
+            self._route()
+
+    def _route(self) -> None:
+        off_chip = self.lines
+        if not off_chip:
+            self.done.succeed()
+            return
+        sim = self.sim
+        home = self.home
+        access = self.access
+        engine = sim._engine
+        if self.ideal:
+            # Perfect co-location: every line is served by the home stack.
+            if sim._trace_on:
+                sim._recorder.access(
+                    f"stack{home}", access.is_store, {home: len(off_chip)}
+                )
+            now = engine.now
+            delay = sim._local_completion(home, off_chip) - now
+            if delay > 0:
+                engine.schedule(delay, self.done.succeed)
+            else:
+                self.done.succeed()
+            return
+
+        groups = sim._group_by_stack(off_chip)
+        if sim._trace_on:
+            sim._recorder.access(
+                f"stack{home}",
+                access.is_store,
+                {stack: len(group) for stack, group in groups.items()},
+            )
+        fabric = sim.system.fabric
+        total = len(off_chip)
+        for stack, group in groups.items():
+            if stack == home:
+                leg = _StackLeg(self, sim, home, group, None)
+            else:
+                request, reply = sim._packet_sizes(access, len(group), total)
+                there, back = fabric.cross_pair(home, stack)
+                leg = _StackLeg(
+                    self, sim, stack, group, None, there, request, back, reply
+                )
+            engine.schedule(0.0, leg.start)
+        self.pending = len(groups)
+        self.routed = True
+
+    def joined(self) -> None:
+        if self.routed:
+            self.done.succeed()
+        else:
+            self._route()  # the page walks are done
+
+
+class _StackLeg:
+    """One access's work on one stack: an optional request-link
+    transfer, the DRAM service (a line group, or a page-table read when
+    ``walk`` is set), an optional reply-link transfer, then one tick of
+    the parent's countdown. Covers GPU off-chip groups (TX/RX links),
+    remote groups and remote page walks (cross-stack links), and
+    home-stack groups and local page walks (no links)."""
+
+    __slots__ = (
+        "parent", "sim", "stack", "lines", "walk",
+        "request", "request_bytes", "reply", "reply_bytes",
+    )
+
+    def __init__(
+        self, parent, sim: Simulator, stack: int, lines, walk,
+        request=None, request_bytes=0, reply=None, reply_bytes=0,
+    ) -> None:
+        self.parent = parent
+        self.sim = sim
+        self.stack = stack
+        self.lines = lines
+        self.walk = walk
+        self.request = request
+        self.request_bytes = request_bytes
+        self.reply = reply
+        self.reply_bytes = reply_bytes
+
+    def start(self) -> None:
+        request = self.request
+        if request is None:
+            self._serve()
+        else:
+            self.sim._engine.schedule_at(
+                request.reserve(self.request_bytes), self._serve
+            )
+
+    def _serve(self) -> None:
+        sim = self.sim
+        engine = sim._engine
+        now = engine.now
+        if self.walk is None:
+            completion = sim._dram_completion(self.stack, self.lines)
+        else:
+            completion = sim._walk_completion(self.walk)
+        delay = completion - now
+        if delay > 0:
+            engine.schedule(delay, self._reply)
+        else:
+            self._reply()
+
+    def _reply(self) -> None:
+        reply = self.reply
+        if reply is None:
+            self._finish()
+        else:
+            self.sim._engine.schedule_at(
+                reply.reserve(self.reply_bytes), self._finish
+            )
+
+    def _finish(self) -> None:
+        parent = self.parent
+        parent.pending -= 1
+        if parent.pending == 0:
+            self.sim._engine.schedule(0.0, parent.joined)
 
 
 def simulate(

@@ -4,7 +4,11 @@ The TOM simulator models the GPU, the off-chip links, and the 3D-stacked
 DRAM as a set of *serial bandwidth resources* (a link that moves N bytes
 per cycle, an SM issue pipeline that retires N instructions per cycle)
 plus *slot pools* (warp slots on an SM). Warp tasks are coroutine
-processes that walk through their execution phases by yielding requests:
+processes that walk through their execution phases by yielding requests
+(memory accesses are not processes: each is a fixed chain of
+reservations, run as callbacks through ``Engine.schedule`` /
+``schedule_at`` with an ``engine.event()`` for the warp to join on —
+see :mod:`repro.core.simulator`):
 
 ``Timeout(delay)``
     Resume the process ``delay`` cycles later.
@@ -330,14 +334,6 @@ class Process:
             del self._resume, self._resume_value
             self.done_event.succeed(stop.value)
             return
-        handler = _DISPATCH.get(request.__class__)
-        if handler is None:
-            handler = _resolve_handler(request)
-        handler(self, request)
-
-    def _dispatch(self, request) -> None:
-        """Kept as a public-ish seam for tests; the hot path in
-        :meth:`_step` goes through the type-dispatch table directly."""
         handler = _DISPATCH.get(request.__class__)
         if handler is None:
             handler = _resolve_handler(request)

@@ -323,30 +323,57 @@ class TestSlotPool:
 
 class TestFinishedProcessesAreNotCyclic:
     def test_tiny_run_leaves_no_process_garbage(self, monkeypatch):
-        """A finished process drops its cached bound methods, so reference
-        counting frees it: a TINY run hands the collector no Process,
-        Event or generator."""
+        """A finished process drops its cached bound methods, and an
+        access's callback chain never stores a bound method of itself,
+        so reference counting frees both: TINY runs — including stack-SM
+        page walks — hand the collector no Process, Event, generator or
+        access-chain object."""
+        import dataclasses
         import gc
         import types
 
-        from repro import TraceScale, WorkloadRunner
-        from repro.core.policies import BASELINE, NDP_CTRL_TMAP
+        from repro import TraceScale, WorkloadRunner, ndp_config
+        from repro.core.policies import BASELINE, NDP_CTRL_BMAP, NDP_CTRL_TMAP
+        from repro.core.simulator import (
+            Simulator,
+            _MainAccess,
+            _StackAccess,
+            _StackLeg,
+        )
         from repro.utils.simcore import Process
 
         monkeypatch.setenv("REPRO_ENGINE", "python")
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        config = ndp_config()
+        translated = dataclasses.replace(
+            config,
+            translation=dataclasses.replace(
+                config.translation, enabled=True, tlb_entries=8
+            ),
+        )
         gc.collect()
         gc.set_debug(gc.DEBUG_SAVEALL)
         try:
             runner = WorkloadRunner("CFD", scale=TraceScale.TINY)
             runner.run(BASELINE)
             runner.run(NDP_CTRL_TMAP)
+            Simulator(runner.trace, translated, NDP_CTRL_BMAP).run()
             del runner
             gc.collect()
             leaked = [
                 obj
                 for obj in gc.garbage
-                if isinstance(obj, (Process, Event, types.GeneratorType))
+                if isinstance(
+                    obj,
+                    (
+                        Process,
+                        Event,
+                        types.GeneratorType,
+                        _MainAccess,
+                        _StackAccess,
+                        _StackLeg,
+                    ),
+                )
             ]
         finally:
             gc.set_debug(0)

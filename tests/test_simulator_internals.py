@@ -60,6 +60,32 @@ class TestLearningSkipSet:
         assert result.traffic.pcie == 0
 
 
+class TestProcessStructure:
+    def test_only_warps_and_learning_instances_are_processes(self, monkeypatch):
+        """Memory accesses run as callback chains, not processes: a run
+        spawns one process per warp task plus one per learning-phase
+        instance, however many accesses they issue."""
+        from repro import TraceScale, WorkloadRunner
+
+        spawned = []
+        original = Engine.process
+
+        def counting_process(engine, generator):
+            spawned.append(generator)
+            return original(engine, generator)
+
+        monkeypatch.setattr(Engine, "process", counting_process)
+        trace = WorkloadRunner("CFD", scale=TraceScale.TINY).trace
+        simulator = Simulator(
+            trace, ndp_config(), NDP_CTRL_TMAP, engine_backend="python"
+        )
+        simulator.run()
+        learned = len(simulator._learned_instance_ids)
+        assert learned > 0
+        assert len(spawned) == len(trace.tasks) + learned
+        assert simulator.system.engine.events_processed > 10 * len(spawned)
+
+
 class TestMappingProperty:
     def test_bmap_mapping_is_static(self, mini_trace):
         simulator = Simulator(mini_trace, ndp_config(), NDP_CTRL_BMAP)
