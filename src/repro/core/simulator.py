@@ -174,10 +174,10 @@ class Simulator:
         stats["runs"] += 1
         self._finished = True
         engine = self.system.engine
-        # The event loop allocates millions of short-lived objects, many
-        # in Process<->Event cycles that automatic collection keeps
-        # scanning to no effect; pausing the collector for the run is
-        # worth ~30% of wall time and cannot change results.
+        # The event loop allocates enough containers to keep the
+        # collector running, and each full collection walks the live
+        # trace to no effect; pausing it saves ~19% of a LIB MEDIUM
+        # simulate (utils/gcguard.py) and cannot change results.
         with gc_paused():
             if self.in_learning_phase:
                 self._learning_prepass()
@@ -520,7 +520,17 @@ class _MainAccess:
         access = self.access
         if self.learning:
             # Data still lives in CPU memory (Section 4.3 step 2); the
-            # PCI-E link carries both directions' bytes.
+            # PCI-E link carries both directions' bytes. The trace shows
+            # where the lines would route under the mapping in force.
+            if sim._trace_on:
+                sim._recorder.access(
+                    "pcie",
+                    access.is_store,
+                    {
+                        stack: len(group)
+                        for stack, group in sim._group_by_stack(off_chip).items()
+                    },
+                )
             packets = system.packets
             if access.is_store:
                 n_bytes = packets.store_request(len(off_chip), access.active_lanes)

@@ -10,7 +10,7 @@ pay off (footnote 2 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -42,13 +42,23 @@ class CoalescedAccess:
 
 
 class Coalescer:
-    """Stateless line-merging; kept as a class so stats can accumulate."""
+    """Line merging for one trace build; also accumulates stats.
+
+    The coalescer interns what it hands out: every line id and every
+    line address is one int object per distinct line, shared by all
+    accesses that touch it. Traces revisit the same lines many times
+    (BFS at MEDIUM: 374,449 line references, 134,515 distinct lines),
+    so this holds each distinct line once. The tables live as long as
+    the coalescer — ``build_trace`` drops it when it returns.
+    """
 
     def __init__(self, line_bytes: int) -> None:
         self.line_bytes = line_bytes
         self.line_bits = ilog2(line_bytes)
         self.warp_accesses = 0
         self.total_lines = 0
+        self._ids: Dict[int, int] = {}
+        self._addresses: Dict[int, int] = {}
 
     def coalesce(
         self, lane_addresses: Union[np.ndarray, List[int]]
@@ -77,10 +87,24 @@ class Coalescer:
             raise TraceError("negative address in warp access")
         self.warp_accesses += 1
         self.total_lines += len(lines)
+        line_ids, line_addresses = self.intern(lines)
         return CoalescedAccess(
-            line_addresses=tuple([line << line_bits for line in lines]),
+            line_addresses=line_addresses,
             active_lanes=len(addresses),
-            line_ids=tuple(lines),
+            line_ids=line_ids,
+        )
+
+    def intern(
+        self, lines: List[int]
+    ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+        """``(line ids, line addresses)`` for the line ids ``lines``,
+        each entry this coalescer's one int object for that line."""
+        ids = self._ids
+        addresses = self._addresses
+        line_bits = self.line_bits
+        return (
+            tuple([ids.setdefault(line, line) for line in lines]),
+            tuple([addresses.setdefault(line, line << line_bits) for line in lines]),
         )
 
     @property

@@ -12,48 +12,66 @@ warp's dynamic execution as an ordered list of segments:
 
 Memory accesses are stored post-coalescing as tuples of line-start byte
 addresses, which is exactly the granularity every downstream consumer
-(mapping sweep, cache, DRAM, link packets) operates at.
+(mapping sweep, cache, DRAM, link packets) operates at. Each access
+also carries the coalescer's line ids (address >> line bits), the
+caches' keys, so the simulator never re-derives them.
+
+The trace is the largest live structure of a run, so it is compact:
+:class:`WarpAccess` is slotted (no per-instance ``__dict__``), and the
+coalescer that builds a trace interns its ints, so each distinct line
+is one address object and one id object shared by every access that
+touches it (``docs/PERFORMANCE.md``, "Compact traces").
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, field
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import TraceError
 
 
-@dataclass(frozen=True)
+def _shifted(addresses: Tuple[int, ...], line_bits: int) -> Tuple[int, ...]:
+    """Line ids of ``addresses`` at shift ``line_bits``."""
+    return tuple([address >> line_bits for address in addresses])
+
+
+@dataclass(frozen=True, slots=True)
 class WarpAccess:
-    """One warp-level memory instruction instance, already coalesced."""
+    """One warp-level memory instruction instance, already coalesced.
+
+    ``ids`` holds ``line_ids(ids_shift)``: the coalescer passes the ids
+    its merge produced, and an access built without them fills the
+    slots on its first ``line_ids`` call. Neither slot takes part in
+    equality or hashing."""
 
     access_id: int
     is_store: bool
     line_addresses: Tuple[int, ...]
     active_lanes: int = 32
+    ids: Tuple[int, ...] = field(default=(), compare=False, repr=False)
+    ids_shift: int = field(default=-1, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.line_addresses:
             raise TraceError(f"access {self.access_id} has no lines")
         if self.active_lanes < 1:
             raise TraceError(f"access {self.access_id} has no active lanes")
-        # Created eagerly so the hot ``line_ids`` lookup is a plain
-        # dict probe with no exception handling on its first call.
-        object.__setattr__(self, "_line_ids_cache", {})
 
     @property
     def n_lines(self) -> int:
         return len(self.line_addresses)
 
     def line_ids(self, line_bits: int) -> Tuple[int, ...]:
-        """Cache-line ids (address >> line_bits), cached per shift."""
-        cache: Dict[int, Tuple[int, ...]] = self._line_ids_cache  # type: ignore[attr-defined]
-        ids = cache.get(line_bits)
-        if ids is None:
-            ids = tuple([address >> line_bits for address in self.line_addresses])
-            cache[line_bits] = ids
+        """Cache-line ids (address >> line_bits); the carried tuple when
+        ``line_bits`` is its shift, else computed and kept in its place."""
+        if line_bits == self.ids_shift:
+            return self.ids
+        ids = _shifted(self.line_addresses, line_bits)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "ids_shift", line_bits)
         return ids
 
 

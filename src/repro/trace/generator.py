@@ -58,6 +58,8 @@ class WorkloadTrace:
     allocation_table: MemoryAllocationTable
     warp_size: int
     measured_coalescing: float
+    #: the coalescer's line size: accesses carry line ids at its shift
+    line_bytes: int
 
     @property
     def n_warps(self) -> int:
@@ -144,10 +146,11 @@ def build_trace(
     instance_counter = 0
     tasks: List[WarpTask] = []
 
-    # Trace generation allocates one frozen dataclass per access plus
-    # numpy temporaries per warp instruction; pausing automatic GC for
-    # the build (as Simulator.run does for the event loop) avoids
-    # repeated whole-heap scans of objects that are all still live.
+    # Trace generation allocates one GC-tracked access per warp
+    # instruction, all of which stay live; pausing automatic GC for the
+    # build (as Simulator.run does for the event loop) avoids repeated
+    # whole-heap scans of them (utils/gcguard.py). The coalescer and its
+    # intern tables are dropped when this function returns.
     with gc_paused():
         for warp_id in range(n_warps):
             lanes = model.active_lanes(warp_id, rng)
@@ -182,6 +185,7 @@ def build_trace(
         allocation_table=table,
         warp_size=config.gpu.warp_size,
         measured_coalescing=coalescer.average_ratio,
+        line_bytes=coalescer.line_bytes,
     )
 
 
@@ -257,16 +261,16 @@ def _accesses_for_range(
         for instr in mem_instrs:
             pattern = patterns[instr.access_id]
             coalesced = coalescer.coalesce(pattern.lane_address_list(ctx))
-            access = WarpAccess(
-                access_id=instr.access_id,
-                is_store=instr.is_store,
-                line_addresses=coalesced.line_addresses,
-                active_lanes=coalesced.active_lanes,
+            accesses.append(
+                WarpAccess(
+                    access_id=instr.access_id,
+                    is_store=instr.is_store,
+                    line_addresses=coalesced.line_addresses,
+                    active_lanes=coalesced.active_lanes,
+                    ids=coalesced.line_ids,
+                    ids_shift=line_bits,
+                )
             )
-            # Pre-seed the line-id cache with the ids the merge already
-            # produced, so the simulator's first lookup is a dict hit.
-            access._line_ids_cache[line_bits] = coalesced.line_ids
-            accesses.append(access)
     return accesses
 
 

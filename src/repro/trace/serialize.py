@@ -23,6 +23,7 @@ from typing import List
 import numpy as np
 
 from ..errors import TraceError
+from ..gpu.coalescer import Coalescer
 from ..gpu.warp import CandidateSegment, PlainSegment, WarpAccess, WarpTask
 from .generator import WorkloadTrace
 
@@ -132,53 +133,63 @@ def load_trace(path: str, reference: WorkloadTrace) -> WorkloadTrace:
     if header["allocations"] != ref_allocs:
         raise TraceError("archive allocation layout differs from the reference")
 
+    if np.any(lines & (reference.line_bytes - 1)):
+        raise TraceError(
+            f"archive line addresses are not {reference.line_bytes}-byte aligned"
+        )
+    # The loaded accesses go through the coalescer's interning, like a
+    # built trace's: one int object per distinct line, ids carried.
+    coalescer = Coalescer(reference.line_bytes)
+    line_bits = coalescer.line_bits
+    line_ids = (lines >> line_bits).tolist()
+    access_rows = accesses.tolist()
+
     tasks: List[WarpTask] = []
     current_warp = None
     current_segments: List = []
     access_cursor = 0
     line_cursor = 0
-    for warp_id, kind, block_id, n_instr, iters, cond, n_acc in segments:
+    for warp_id, kind, block_id, n_instr, iters, cond, n_acc in segments.tolist():
         if current_warp is not None and warp_id != current_warp:
-            tasks.append(WarpTask(warp_id=int(current_warp),
+            tasks.append(WarpTask(warp_id=current_warp,
                                   segments=tuple(current_segments)))
             current_segments = []
         current_warp = warp_id
         warp_accesses = []
-        for _ in range(n_acc):
-            access_id, is_store, lanes, n_lines = accesses[access_cursor]
-            access_cursor += 1
-            addr = tuple(
-                int(a) for a in lines[line_cursor : line_cursor + n_lines]
+        for access_id, is_store, lanes, n_lines in access_rows[
+            access_cursor : access_cursor + n_acc
+        ]:
+            ids, addresses = coalescer.intern(
+                line_ids[line_cursor : line_cursor + n_lines]
             )
             line_cursor += n_lines
             warp_accesses.append(
                 WarpAccess(
-                    access_id=int(access_id),
+                    access_id=access_id,
                     is_store=bool(is_store),
-                    line_addresses=addr,
-                    active_lanes=int(lanes),
+                    line_addresses=addresses,
+                    active_lanes=lanes,
+                    ids=ids,
+                    ids_shift=line_bits,
                 )
             )
+        access_cursor += n_acc
         if kind == _CANDIDATE:
             current_segments.append(
                 CandidateSegment(
-                    block_id=int(block_id),
-                    n_instructions=int(n_instr),
+                    block_id=block_id,
+                    n_instructions=n_instr,
                     accesses=tuple(warp_accesses),
-                    iterations=int(iters),
-                    condition_value=int(cond) or None,
+                    iterations=iters,
+                    condition_value=cond or None,
                 )
             )
         else:
             current_segments.append(
-                PlainSegment(
-                    n_instructions=int(n_instr), accesses=tuple(warp_accesses)
-                )
+                PlainSegment(n_instructions=n_instr, accesses=tuple(warp_accesses))
             )
     if current_warp is not None:
-        tasks.append(
-            WarpTask(warp_id=int(current_warp), segments=tuple(current_segments))
-        )
+        tasks.append(WarpTask(warp_id=current_warp, segments=tuple(current_segments)))
 
     loaded = WorkloadTrace(
         workload_name=reference.workload_name,
@@ -189,6 +200,7 @@ def load_trace(path: str, reference: WorkloadTrace) -> WorkloadTrace:
         allocation_table=reference.allocation_table,
         warp_size=header["warp_size"],
         measured_coalescing=header["measured_coalescing"],
+        line_bytes=reference.line_bytes,
     )
     if trace_checksum(loaded) != header["checksum"]:
         raise TraceError("trace archive failed its structural checksum")

@@ -13,7 +13,14 @@ def _isolated_result_cache(monkeypatch, tmp_path):
     internals, and their results must never leak across tests)."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "result-cache"))
 
-from repro import TraceScale, baseline_config, build_trace, ndp_config
+from repro import (
+    NDP_CTRL_BMAP,
+    TraceScale,
+    WorkloadRunner,
+    baseline_config,
+    build_trace,
+    ndp_config,
+)
 from repro.isa import KernelBuilder
 from repro.trace.generator import TraceModel
 from repro.trace.patterns import LinearPattern, RandomPattern
@@ -72,6 +79,16 @@ def ndp_cfg():
 @pytest.fixture(scope="session")
 def base_cfg():
     return baseline_config()
+
+
+@pytest.fixture(scope="session")
+def sp_bmap_result(tmp_path_factory):
+    """SP at TINY under ctrl+bmap, simulated once per session. Session
+    scope runs before the per-test cache isolation above, so the run
+    gets a private result cache of its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("result-cache")))
+        return WorkloadRunner("SP", scale=TraceScale.TINY).run(NDP_CTRL_BMAP)
 
 
 @pytest.fixture(scope="session")

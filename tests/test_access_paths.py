@@ -94,6 +94,8 @@ PINNED_ACCESS_COUNTS = {
     ("CFD", "ctrl+tmap", 8): {
         ("gpu", False): 360,
         ("gpu", True): 88,
+        ("pcie", False): 48,
+        ("pcie", True): 16,
         ("stack0", False): 588,
         ("stack0", True): 196,
         ("stack3", False): 879,

@@ -7,7 +7,6 @@ import os
 
 import pytest
 
-from repro import NDP_CTRL_BMAP, TraceScale, WorkloadRunner
 from repro.analysis.export import (
     figure_to_csv,
     figure_to_dict,
@@ -20,21 +19,15 @@ from repro.analysis.figures import FigureResult, section66
 from repro.errors import AnalysisError
 
 
-@pytest.fixture(scope="module")
-def sp_result():
-    runner = WorkloadRunner("SP", scale=TraceScale.TINY)
-    return runner.run(NDP_CTRL_BMAP)
-
-
 class TestResultExport:
-    def test_dict_roundtrips_through_json(self, sp_result):
-        payload = json.loads(result_to_json(sp_result))
+    def test_dict_roundtrips_through_json(self, sp_bmap_result):
+        payload = json.loads(result_to_json(sp_bmap_result))
         assert payload["workload"] == "SP"
         assert payload["policy"] == "ctrl+bmap"
-        assert payload["ipc"] == pytest.approx(sp_result.ipc)
+        assert payload["ipc"] == pytest.approx(sp_bmap_result.ipc)
 
-    def test_traffic_totals_consistent(self, sp_result):
-        payload = result_to_dict(sp_result)
+    def test_traffic_totals_consistent(self, sp_bmap_result):
+        payload = result_to_dict(sp_bmap_result)
         traffic = payload["traffic"]
         assert traffic["off_chip_total"] == pytest.approx(
             traffic["gpu_memory_rx"]
@@ -42,14 +35,14 @@ class TestResultExport:
             + traffic["memory_memory"]
         )
 
-    def test_energy_total_consistent(self, sp_result):
-        energy = result_to_dict(sp_result)["energy_j"]
+    def test_energy_total_consistent(self, sp_bmap_result):
+        energy = result_to_dict(sp_bmap_result)["energy_j"]
         assert energy["total"] == pytest.approx(
             energy["sm"] + energy["links"] + energy["dram"]
         )
 
-    def test_offload_decisions_serialized(self, sp_result):
-        payload = result_to_dict(sp_result)
+    def test_offload_decisions_serialized(self, sp_bmap_result):
+        payload = result_to_dict(sp_bmap_result)
         assert payload["offload"]["decisions"].get("offloaded", 0) > 0
 
 

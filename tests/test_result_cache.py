@@ -139,23 +139,19 @@ class TestCacheKey:
 
 
 class TestRoundTrip:
-    @pytest.fixture(scope="class")
-    def result(self):
-        return WorkloadRunner("SP", scale=TraceScale.TINY).run(NDP_CTRL_BMAP)
+    def test_dict_round_trip_is_lossless(self, sp_bmap_result):
+        assert result_from_dict(result_to_dict(sp_bmap_result)) == sp_bmap_result
 
-    def test_dict_round_trip_is_lossless(self, result):
-        assert result_from_dict(result_to_dict(result)) == result
-
-    def test_store_load_round_trip(self, result):
+    def test_store_load_round_trip(self, sp_bmap_result):
         key = _key()
-        result_cache.store(key, result)
+        result_cache.store(key, sp_bmap_result)
         loaded = result_cache.load(key)
-        assert loaded == result
-        assert loaded is not result
+        assert loaded == sp_bmap_result
+        assert loaded is not sp_bmap_result
 
-    def test_survives_json_serialization(self, result):
-        payload = json.loads(json.dumps(result_to_dict(result)))
-        assert result_from_dict(payload) == result
+    def test_survives_json_serialization(self, sp_bmap_result):
+        payload = json.loads(json.dumps(result_to_dict(sp_bmap_result)))
+        assert result_from_dict(payload) == sp_bmap_result
 
 
 class TestHitMiss:
