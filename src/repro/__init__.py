@@ -49,11 +49,9 @@ from .core import (
     RunPolicy,
     SimulationResult,
     Simulator,
-    SuiteRunReport,
     SupervisorConfig,
     WorkloadRunner,
     run_suite,
-    run_suite_supervised,
     run_supervised,
     simulate,
     suite_ratios,
@@ -86,7 +84,6 @@ __all__ = [
     "SUITE_ORDER",
     "SimulationResult",
     "Simulator",
-    "SuiteRunReport",
     "SupervisorConfig",
     "SystemConfig",
     "TOM",
@@ -99,7 +96,6 @@ __all__ = [
     "make_workload",
     "ndp_config",
     "run_suite",
-    "run_suite_supervised",
     "run_supervised",
     "simulate",
     "suite_ratios",

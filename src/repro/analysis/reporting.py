@@ -65,67 +65,6 @@ def format_bars(
     return "\n".join(lines)
 
 
-def render_grid_summary(name: str, grids) -> str:
-    """Roll results up into one summary table per grid.
-
-    ``grids`` maps ``(config, scale, seed)`` to ``{workload: {policy
-    label: result}}`` (e.g. :meth:`repro.campaign.CampaignReport.grids`).
-    Columns follow the suite order; a table shows speedup over baseline
-    when every column ran a baseline and another policy, raw IPC
-    otherwise.
-    """
-    from ..workloads.suite import SUITE_ORDER
-
-    blocks = []
-    suite_rank = {w: i for i, w in enumerate(SUITE_ORDER)}
-    for key in sorted(grids, key=lambda k: (str(k[0]), str(k[1]), str(k[2]))):
-        per_workload = grids[key]
-        config, scale, seed = key
-        columns = sorted(
-            per_workload, key=lambda w: (suite_rank.get(w, len(suite_rank)), w)
-        )
-        labels: list = []
-        for workload in columns:
-            for label in per_workload[workload]:
-                if label not in labels:
-                    labels.append(label)
-        # A baseline-only grid has nothing to compare: show its IPC.
-        have_baseline = len(labels) > 1 and all(
-            "baseline" in per_workload[w] for w in columns
-        )
-        rows: dict = {}
-        for label in labels:
-            if label == "baseline" and have_baseline:
-                continue
-            row = {}
-            for workload in columns:
-                result = per_workload[workload].get(label)
-                if result is None:
-                    continue
-                if have_baseline:
-                    row[workload] = result.speedup_over(
-                        per_workload[workload]["baseline"]
-                    )
-                else:
-                    row[workload] = result.ipc
-            if row:
-                rows[label] = row
-        if not rows:
-            continue
-        metric = "speedup over baseline" if have_baseline else "IPC"
-        blocks.append(
-            format_table(
-                f"{name}: config={config} scale={scale} seed={seed}",
-                columns,
-                rows,
-                note=metric,
-            )
-        )
-    if not blocks:
-        raise AnalysisError(f"{name} has no completed results to summarize")
-    return "\n\n".join(blocks)
-
-
 def compare_to_paper(
     measured: Mapping[str, float],
     paper: Mapping[str, float],

@@ -9,11 +9,12 @@ Subcommands::
         Run the Figure 8 policy grid over the whole suite.
 
     repro-tom suite --job-timeout 600 --max-retries 2
-        The same grid under supervision: per-job timeout and retries.
-        If jobs fail permanently, the suite still completes with
-        partial results, prints a failure summary, and exits 3; running
-        the same command again re-simulates only the failed points,
-        because the result cache answers the rest (docs/ROBUSTNESS.md).
+        The same grid with a per-job timeout and retries (exported as
+        REPRO_JOB_TIMEOUT / REPRO_MAX_RETRIES). If jobs fail
+        permanently, the suite still prints the partial results and a
+        failure summary, and exits 3; running the same command again
+        re-simulates only the failed points, because the result cache
+        answers the rest (docs/ROBUSTNESS.md).
 
     repro-tom figure fig8 [--scale SMALL]
         Regenerate one of the paper's figures as a text table
@@ -32,20 +33,9 @@ Subcommands::
         Render a trace: decision breakdown, learned-mapping scores,
         stack-routing matrix, per-channel utilization timeline.
 
-    repro-tom campaign run sweep.toml
-        Expand a declared parameter product (workloads x policies x
-        scales x seeds x configs), skip every point already answered by
-        the result cache, run the rest under supervision, and print the
-        per-grid roll-up (docs/CAMPAIGNS.md).
-
-    repro-tom campaign status sweep.toml
-        Classify every point (cached / pending) without running
-        anything; exits 0 only when the campaign is complete.
-
-Exit code 0 on success; errors print to stderr and exit 2; a suite or
-campaign run that completes with partial results (some jobs failed
-permanently) exits 3, as does ``campaign status`` for an incomplete
-campaign.
+Exit code 0 on success; errors print to stderr and exit 2; a suite run
+that completes with partial results (some jobs failed permanently)
+exits 3.
 """
 
 from __future__ import annotations
@@ -178,35 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bundle.add_argument("--figures", nargs="*", default=None)
     bundle.add_argument("--scale", default=None, choices=[s.name for s in TraceScale])
 
-    campaign = sub.add_parser(
-        "campaign",
-        help="declared parameter sweeps: run incrementally, inspect status",
-    )
-    campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
-    spec_parent = argparse.ArgumentParser(add_help=False)
-    spec_parent.add_argument("spec", help="campaign spec (TOML or JSON)")
-    campaign_run = campaign_sub.add_parser(
-        "run",
-        help="run every point not already answered by the result cache",
-        parents=[spec_parent, engine_parent],
-    )
-    campaign_run.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="worker processes (default: REPRO_JOBS, else CPU count)",
-    )
-    campaign_run.add_argument(
-        "--job-timeout", type=float, default=None, metavar="SECONDS",
-        help="per-job wall-clock timeout (default: REPRO_JOB_TIMEOUT)",
-    )
-    campaign_run.add_argument(
-        "--max-retries", type=int, default=None, metavar="N",
-        help="retries per failing job (default: REPRO_MAX_RETRIES, else 1)",
-    )
-    campaign_sub.add_parser(
-        "status",
-        help="classify every point without running anything",
-        parents=[spec_parent],
-    )
     return parser
 
 
@@ -258,17 +219,24 @@ def _cmd_run(args) -> None:
 def _cmd_suite(args) -> int:
     from .analysis.figures import figure8
     from .core import result_cache
-    from .core.experiment import run_suite_supervised
+    from .core.experiment import run_suite
+    from .errors import JobExecutionError
 
-    report = run_suite_supervised(
-        FIGURE8_GRID,
-        scale=TraceScale[args.scale],
-        seed=args.seed,
-        workloads=args.workloads,
-        job_timeout=args.job_timeout,
-        max_retries=args.max_retries,
-    )
-    results = report.results
+    # Exported like --engine, for SupervisorConfig.from_env to read.
+    if args.job_timeout is not None:
+        os.environ["REPRO_JOB_TIMEOUT"] = str(args.job_timeout)
+    if args.max_retries is not None:
+        os.environ["REPRO_MAX_RETRIES"] = str(args.max_retries)
+    failures = []
+    try:
+        results = run_suite(
+            FIGURE8_GRID,
+            scale=TraceScale[args.scale],
+            seed=args.seed,
+            workloads=args.workloads,
+        )
+    except JobExecutionError as error:
+        failures, results = error.failures, error.results
 
     def print_speedups(names) -> None:
         for name in names:
@@ -283,12 +251,12 @@ def _cmd_suite(args) -> int:
             )
             print(f"{name:>4s}: {line}")
 
-    if report.failures:
+    if failures:
         # Partial run: print every workload that completed, summarize
         # the rest to stderr, and exit 3 so scripts notice.
         print_speedups(sorted(results))
-        print(f"\n{len(report.failures)} job(s) failed:", file=sys.stderr)
-        for failure in report.failures:
+        print(f"\n{len(failures)} job(s) failed:", file=sys.stderr)
+        for failure in failures:
             print(f"  {failure.describe()}", file=sys.stderr)
         if result_cache.enabled():
             print(
@@ -358,39 +326,6 @@ def _cmd_bundle(args) -> None:
         print(path)
 
 
-def _cmd_campaign(args) -> int:
-    from .campaign import CampaignDriver, load_spec
-
-    driver = CampaignDriver(load_spec(args.spec))
-    if args.campaign_command == "status":
-        status = driver.status()
-        for line in status.describe():
-            print(line)
-        # Same partial-run convention as `suite`: anything short of a
-        # fully-answered campaign exits 3 so scripts notice.
-        return 0 if status.done else 3
-    report = driver.run(
-        jobs=args.jobs,
-        job_timeout=args.job_timeout,
-        max_retries=args.max_retries,
-    )
-    for line in report.describe():
-        print(line)
-    if report.results:
-        from .analysis.reporting import render_grid_summary
-
-        print()
-        print(render_grid_summary(report.spec.name, report.grids()))
-    if not report.ok:
-        print(
-            f"\nre-run `repro-tom campaign run {args.spec}` to retry the "
-            f"{len(report.failed_points)} unanswered point(s)",
-            file=sys.stderr,
-        )
-        return 3
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     # Export the engine choice before any simulation is constructed so
@@ -406,7 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "inspect": _cmd_inspect,
             "report": _cmd_report,
             "bundle": _cmd_bundle,
-            "campaign": _cmd_campaign,
         }[args.command](args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

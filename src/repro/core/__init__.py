@@ -1,10 +1,8 @@
 """Core: policies, system assembly, simulator, experiment drivers."""
 
 from .experiment import (
-    SuiteRunReport,
     WorkloadRunner,
     run_suite,
-    run_suite_supervised,
     suite_ratios,
     suite_speedups,
 )
@@ -52,12 +50,10 @@ __all__ = [
     "RunPolicy",
     "SimulationResult",
     "Simulator",
-    "SuiteRunReport",
     "SupervisorConfig",
     "TOM",
     "WorkloadRunner",
     "run_suite",
-    "run_suite_supervised",
     "run_supervised",
     "simulate",
     "suite_ratios",

@@ -9,15 +9,14 @@ across workloads when ``REPRO_JOBS`` allows (see
 result cache (see :mod:`repro.core.result_cache`), so repeated figure
 drivers re-simulate nothing.
 
-:func:`run_suite_supervised` is the fault-tolerant variant built on
-:mod:`repro.core.supervisor`: per-job timeouts and retries, and partial
-results plus structured failures instead of a dead suite. It and the
-campaign driver share one job planner, :func:`run_points`, for which
-the persistent result cache is the only record of finished points — a
-plain re-run re-simulates only what is missing or failed.
-:func:`run_suite` delegates to it and raises
-:class:`~repro.errors.JobExecutionError` if anything failed — the
-strict contract every figure driver expects.
+:func:`run_suite` hands its workloads x configurations x policies
+product to the one job planner, :func:`run_points`, which runs the
+misses under :mod:`repro.core.supervisor` (per-job timeouts and
+retries) and for which the persistent result cache is the only record
+of finished points — a plain re-run re-simulates only what is missing
+or failed. When jobs fail for good, :func:`run_suite` raises
+:class:`~repro.errors.JobExecutionError` carrying the structured
+failures and the partial results.
 """
 
 from __future__ import annotations
@@ -43,6 +42,47 @@ from .supervisor import (
     SupervisorConfig,
     run_supervised,
 )
+
+
+def _run_configuration(
+    policy: RunPolicy,
+    ndp_configuration: SystemConfig,
+    baseline_configuration: SystemConfig,
+) -> SystemConfig:
+    """The configuration ``policy`` runs on: offloading policies run on
+    the NDP configuration, the baseline on the baseline one."""
+    return ndp_configuration if policy.offloads else baseline_configuration
+
+
+def result_key(
+    workload: str,
+    policy: RunPolicy,
+    scale: TraceScale,
+    seed: int,
+    ndp_configuration: SystemConfig,
+    baseline_configuration: SystemConfig,
+    run_config: Optional[SystemConfig] = None,
+    oracle_position: Optional[int] = None,
+) -> str:
+    """The result-cache key of ``policy`` on the trace of ``workload``
+    at (``scale``, ``seed``) built from ``ndp_configuration``. The
+    policy runs on ``run_config`` when one is given, else on the NDP
+    configuration if it offloads and on ``baseline_configuration`` if
+    not. Every cache probe and store of a simulated point goes through
+    here, so all of them agree on every key."""
+    if run_config is None:
+        run_config = _run_configuration(
+            policy, ndp_configuration, baseline_configuration
+        )
+    return result_cache.cache_key(
+        workload=workload,
+        policy_label=policy.label,
+        scale=scale,
+        seed=seed,
+        trace_config=ndp_configuration,
+        run_config=run_config,
+        oracle_position=oracle_position,
+    )
 
 
 class WorkloadRunner:
@@ -86,22 +126,6 @@ class WorkloadRunner:
             )
         return self._trace
 
-    def _persistent_key(
-        self,
-        policy: RunPolicy,
-        configuration: SystemConfig,
-        oracle_position: Optional[int],
-    ) -> str:
-        return result_cache.cache_key(
-            workload=self.model.name,
-            policy_label=policy.label,
-            scale=self.scale,
-            seed=self.seed,
-            trace_config=self.ndp_configuration,
-            run_config=configuration,
-            oracle_position=oracle_position,
-        )
-
     def run(
         self,
         policy: RunPolicy,
@@ -127,15 +151,20 @@ class WorkloadRunner:
         if cache and not custom and key in self._cache:
             return self._cache[key]
         if configuration is None:
-            configuration = (
-                self.baseline_configuration
-                if not policy.offloads
-                else self.ndp_configuration
+            configuration = _run_configuration(
+                policy, self.ndp_configuration, self.baseline_configuration
             )
         persistent_key = None
         if cache and self._persistent_ok and result_cache.enabled():
-            persistent_key = self._persistent_key(
-                policy, configuration, oracle_position
+            persistent_key = result_key(
+                self.model.name,
+                policy,
+                self.scale,
+                self.seed,
+                self.ndp_configuration,
+                self.baseline_configuration,
+                run_config=configuration,
+                oracle_position=oracle_position,
             )
             hit = result_cache.load(persistent_key)
             if hit is not None:
@@ -194,22 +223,7 @@ class WorkloadRunner:
                     results[index][label] = self._cache[label]
                     continue
                 if cache and self._persistent_ok and result_cache.enabled():
-                    run_config = (
-                        self.baseline_configuration
-                        if not policy.offloads
-                        else ndp_cfg
-                    )
-                    hit = result_cache.load(
-                        result_cache.cache_key(
-                            workload=self.model.name,
-                            policy_label=label,
-                            scale=self.scale,
-                            seed=self.seed,
-                            trace_config=ndp_cfg,
-                            run_config=run_config,
-                            oracle_position=None,
-                        )
-                    )
+                    hit = result_cache.load(self._grid_key(policy, ndp_cfg))
                     if hit is not None:
                         results[index][label] = hit
                         if single:
@@ -279,26 +293,24 @@ class WorkloadRunner:
                 label = policy.label
                 results[index][label] = result
                 if cache and self._persistent_ok and result_cache.enabled():
-                    run_config = (
-                        self.baseline_configuration
-                        if not policy.offloads
-                        else ndp_variants[index]
-                    )
                     result_cache.store(
-                        result_cache.cache_key(
-                            workload=self.model.name,
-                            policy_label=label,
-                            scale=self.scale,
-                            seed=self.seed,
-                            trace_config=ndp_variants[index],
-                            run_config=run_config,
-                            oracle_position=None,
-                        ),
-                        result,
+                        self._grid_key(policy, ndp_variants[index]), result
                     )
                 if single and cache:
                     self._cache[label] = result
         return results[0] if single else results
+
+    def _grid_key(self, policy: RunPolicy, ndp_configuration: SystemConfig) -> str:
+        """The key :meth:`run` of a runner holding ``ndp_configuration``
+        uses for ``policy`` — what every grid lane probes and stores."""
+        return result_key(
+            self.model.name,
+            policy,
+            self.scale,
+            self.seed,
+            ndp_configuration,
+            self.baseline_configuration,
+        )
 
     def baseline(self) -> SimulationResult:
         return self.run(BASELINE)
@@ -340,39 +352,22 @@ class SuitePoint(NamedTuple):
     policy: RunPolicy
 
 
-def point_key(point: SuitePoint, base_config: SystemConfig) -> str:
-    """The result-cache key a one-variant run of ``point`` uses."""
-    return result_cache.cache_key(
-        workload=point.workload,
-        policy_label=point.policy.label,
-        scale=point.scale,
-        seed=point.seed,
-        trace_config=point.config,
-        run_config=point.config if point.policy.offloads else base_config,
-    )
-
-
 @dataclass
 class PointsReport:
     """What :func:`run_points` produced: ``results`` is parallel to the
     points it was given, ``None`` where the point's job failed."""
 
     results: List[Optional[SimulationResult]]
-    cache_hits: int = 0
     failures: List[JobFailure] = field(default_factory=list)
-    outcomes: List[JobOutcome] = field(default_factory=list)
 
 
 def run_points(
     points: Sequence[SuitePoint],
     jobs: Optional[int] = None,
-    job_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
     recorder=None,
 ) -> PointsReport:
     """Answer every point from the result cache or by simulating it
-    under supervision — the one job planner behind
-    :func:`run_suite_supervised` and the campaign driver.
+    under supervision — the one job planner behind :func:`run_suite`.
 
     The persistent result cache is the only completion record: points
     it answers simulate nothing, so re-running a partial run
@@ -384,11 +379,10 @@ def run_points(
     policies follow the order they first appear in ``points``. All jobs
     go to one :func:`~repro.core.supervisor.run_supervised` call; a
     failing job becomes a structured failure and leaves its points
-    ``None``. ``job_timeout``/``max_retries`` configure the supervisor
-    (env fallbacks ``REPRO_JOB_TIMEOUT``/``REPRO_MAX_RETRIES``). A
-    ``recorder`` with a ``job`` hook (e.g.
-    :class:`repro.obs.TraceRecorder`) receives one job-lifecycle event
-    per outcome.
+    ``None``. The supervisor's timeout and retries come from
+    ``REPRO_JOB_TIMEOUT``/``REPRO_MAX_RETRIES``. A ``recorder`` with a
+    ``job`` hook (e.g. :class:`repro.obs.TraceRecorder`) receives one
+    job-lifecycle event per outcome.
     """
     base_config = baseline_config()
     report = PointsReport(results=[None] * len(points))
@@ -397,11 +391,17 @@ def run_points(
     missing: List[int] = []
     for index, point in enumerate(points):
         if caching:
-            keys[index] = point_key(point, base_config)
+            keys[index] = result_key(
+                point.workload,
+                point.policy,
+                point.scale,
+                point.seed,
+                point.config,
+                base_config,
+            )
             cached = result_cache.load(keys[index])
             if cached is not None:
                 report.results[index] = cached
-                report.cache_hits += 1
                 continue
         missing.append(index)
 
@@ -463,14 +463,14 @@ def run_points(
                 at=time.monotonic() - started,
             )
 
-    report.outcomes = run_supervised(
+    outcomes = run_supervised(
         pending,
         n_jobs=jobs,
-        config=SupervisorConfig.from_env(timeout=job_timeout, max_retries=max_retries),
+        config=SupervisorConfig.from_env(),
         on_outcome=on_outcome,
     )
     # Outcomes are submission-ordered, i.e. parallel to the groups.
-    for members, outcome in zip(groups.values(), report.outcomes):
+    for members, outcome in zip(groups.values(), outcomes):
         if not outcome.ok:
             if outcome.failure is not None:
                 report.failures.append(outcome.failure)
@@ -486,28 +486,7 @@ def run_points(
     return report
 
 
-@dataclass
-class SuiteRunReport:
-    """What a supervised suite run produced.
-
-    ``results`` holds every completed point (possibly partial when jobs
-    failed) as ``{workload: {policy_label: result}}`` — or, for a run
-    given ``variants``, one such dict per variant, in order; a workload
-    whose job failed is absent from every variant. ``failures`` holds
-    the structured per-job failures; ``outcomes`` every
-    :class:`~repro.core.supervisor.JobOutcome` in submission order.
-    """
-
-    results: Union[SuiteResults, List[SuiteResults]] = field(default_factory=dict)
-    failures: List[JobFailure] = field(default_factory=list)
-    outcomes: List[JobOutcome] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def run_suite_supervised(
+def run_suite(
     policies: Sequence[RunPolicy],
     scale: TraceScale = TraceScale.SMALL,
     seed: int = 0,
@@ -515,28 +494,35 @@ def run_suite_supervised(
     ndp_configuration: Optional[SystemConfig] = None,
     include_baseline: bool = True,
     jobs: Optional[int] = None,
-    job_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    recorder=None,
     variants: Optional[Sequence[SystemConfig]] = None,
-) -> SuiteRunReport:
-    """Run every policy on every suite workload under supervision.
+) -> Union[SuiteResults, List[SuiteResults]]:
+    """Run every policy on every suite workload.
 
-    Builds the workloads x configurations x policies product and hands
-    it to :func:`run_points`: cached points are returned without
-    simulating, the rest run as one job per workload, and a failing job
-    becomes a structured :class:`~repro.core.supervisor.JobFailure` in
-    the report instead of killing the suite. Re-running after a partial
-    run simulates only the failed points — unless the cache is off
-    (``REPRO_NO_CACHE``), which by design keeps no completion record.
+    Returns ``{workload: {policy_label: result}}``; the baseline run is
+    included under ``"baseline"`` unless ``include_baseline=False``.
+    With ``variants`` (a parameter sweep over NDP configurations,
+    instead of the single ``ndp_configuration``) it returns one such
+    dict per variant, mirroring ``WorkloadRunner.run_grid``.
 
-    ``variants`` sweeps NDP configurations (instead of the single
-    ``ndp_configuration``) the way ``WorkloadRunner.run_grid`` does:
-    each workload's job carries every variant, so its trace is built
-    once and lanes the variants cannot tell apart (the baseline) are
-    simulated once; ``report.results`` is then one dict per variant.
-    Every point keeps the cache key a one-variant run of its
-    configuration would use.
+    The workloads x configurations x policies product goes to
+    :func:`run_points`: cached results (see
+    :mod:`repro.core.result_cache`) are returned without simulating;
+    the remaining work is grouped into one job per workload — so each
+    trace is built once and shared across that workload's variants and
+    policies, and lanes the variants cannot tell apart (the baseline)
+    simulate once — and dispatched across ``jobs`` worker processes
+    (default: ``REPRO_JOBS`` / CPU count; serial when 1). Serial and
+    parallel execution produce bit-identical results. Every point keeps
+    the cache key a one-variant run of its configuration would use.
+
+    Raises :class:`~repro.errors.JobExecutionError` if any job failed
+    permanently (the supervisor may retry first, per
+    ``REPRO_MAX_RETRIES``). The error carries the structured failures
+    and the partial results, in the shape a clean run returns; a
+    workload whose job failed is absent from every variant. Re-running
+    after such a run simulates only the failed points — unless the
+    cache is off (``REPRO_NO_CACHE``), which by design keeps no
+    completion record.
     """
     names = list(workloads) if workloads is not None else list(SUITE_ORDER)
     wanted = _suite_policies(policies, include_baseline)
@@ -562,9 +548,6 @@ def run_suite_supervised(
             for policy in wanted
         ],
         jobs=jobs,
-        job_timeout=job_timeout,
-        max_retries=max_retries,
-        recorder=recorder,
     )
     # Fold back in product order; a workload whose every point failed
     # stays absent, so callers can treat membership as "has data".
@@ -576,57 +559,13 @@ def run_suite_supervised(
                 result = next(answers)
                 if result is not None:
                     results.setdefault(name, {})[policy.label] = result
-    report = SuiteRunReport(failures=run.failures, outcomes=run.outcomes)
     if variants is None:
-        report.results = per_config[0]
+        folded: Union[SuiteResults, List[SuiteResults]] = per_config[0]
     else:
-        report.results = [per_config[configs.index(config)] for config in requested]
-    return report
-
-
-def run_suite(
-    policies: Sequence[RunPolicy],
-    scale: TraceScale = TraceScale.SMALL,
-    seed: int = 0,
-    workloads: Optional[Sequence[str]] = None,
-    ndp_configuration: Optional[SystemConfig] = None,
-    include_baseline: bool = True,
-    jobs: Optional[int] = None,
-    variants: Optional[Sequence[SystemConfig]] = None,
-) -> Union[SuiteResults, List[SuiteResults]]:
-    """Run every policy on every suite workload.
-
-    Returns ``{workload: {policy_label: result}}``; the baseline run is
-    included under ``"baseline"`` unless ``include_baseline=False``.
-    With ``variants`` (a parameter sweep over NDP configurations) it
-    returns one such dict per variant, mirroring
-    ``WorkloadRunner.run_grid``.
-
-    Cached results (see :mod:`repro.core.result_cache`) are returned
-    without simulating; the remaining work is grouped into one job per
-    workload — so each trace is built once and shared across that
-    workload's variants and policies — and dispatched across ``jobs``
-    worker processes (default: ``REPRO_JOBS`` / CPU count; serial when
-    1). Serial and parallel execution produce bit-identical results.
-
-    Strict: raises :class:`~repro.errors.JobExecutionError` if any job
-    failed permanently (the supervised engine may retry first, per
-    ``REPRO_MAX_RETRIES``); use :func:`run_suite_supervised` to get
-    partial results plus structured failures instead.
-    """
-    report = run_suite_supervised(
-        policies,
-        scale=scale,
-        seed=seed,
-        workloads=workloads,
-        ndp_configuration=ndp_configuration,
-        include_baseline=include_baseline,
-        jobs=jobs,
-        variants=variants,
-    )
-    if report.failures:
-        raise JobExecutionError(report.failures)
-    return report.results
+        folded = [per_config[configs.index(config)] for config in requested]
+    if run.failures:
+        raise JobExecutionError(run.failures, folded)
+    return folded
 
 
 def suite_speedups(

@@ -86,11 +86,11 @@ FIGURE8_GRID = (
     NDP_CTRL_TMAP,
 )
 
-#: Every named policy, and the label -> policy registry the CLI and the
-#: campaign layer resolve user-supplied labels through. Labels are the
-#: canonical external names (``baseline``, ``ctrl+tmap``, ...); keep
-#: this the single source of truth so a campaign spec, the CLI
-#: ``--policy`` choices, and the service API can never disagree.
+#: Every named policy, and the label -> policy registry the CLI resolves
+#: user-supplied labels through. Labels are the canonical external
+#: names (``baseline``, ``ctrl+tmap``, ...); keep this the single
+#: source of truth so the CLI ``--policy`` choices and the result-cache
+#: keys can never disagree.
 ALL_POLICIES = (
     BASELINE,
     NDP_NOCTRL_BMAP,

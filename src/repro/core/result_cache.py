@@ -173,19 +173,6 @@ def _quarantine(path: str, reason: str) -> None:
         )
 
 
-def probe(key: str) -> bool:
-    """True when an entry for ``key`` exists on disk (and the cache is
-    enabled) — a cheap existence check that neither deserializes nor
-    verifies the payload, and touches no counters. Campaign planning
-    and ``repro-tom campaign status`` use it to classify thousands of
-    points quickly; execution paths still go through :func:`load`, so a
-    probe-positive entry that turns out corrupt is quarantined and
-    re-run as usual."""
-    if not enabled():
-        return False
-    return os.path.exists(_entry_path(key))
-
-
 def load(key: str) -> Optional[SimulationResult]:
     """Fetch a cached result; ``None`` on miss (or when disabled).
 

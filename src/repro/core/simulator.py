@@ -69,7 +69,7 @@ _L2_HIT_LATENCY = 30.0
 
 #: Process-local count of simulations actually executed (grid lanes
 #: run this class too, so they count; deduplicated lanes do not). The
-#: campaign skip tests assert this stays at zero on a warm re-run;
+#: cache-resume tests assert this stays at zero on a warm re-run;
 #: like :data:`repro.core.result_cache.stats` it never crosses
 #: process boundaries, so run serially (``REPRO_JOBS=1``) to observe it.
 stats = {"runs": 0}

@@ -20,9 +20,10 @@ rebuilds its own from the ``(workload, scale, seed)`` triple.
 inline) and treats individual job failure as data:
 
 * **per-job submit** with a configurable wall-clock timeout
-  (``REPRO_JOB_TIMEOUT`` / ``job_timeout``);
+  (``REPRO_JOB_TIMEOUT`` / ``SupervisorConfig.timeout``);
 * **retry with capped exponential backoff** for transient failures
-  (``REPRO_MAX_RETRIES`` / ``max_retries``, default 1 retry);
+  (``REPRO_MAX_RETRIES`` / ``SupervisorConfig.max_retries``, default 1
+  retry);
 * **pool-break recovery** — a worker death (crash, OOM kill) breaks a
   ``ProcessPoolExecutor`` and poisons *every* in-flight future, so the
   supervisor rebuilds the pool and replays the in-flight suspects one

@@ -47,15 +47,15 @@ class SimulationDenied(ReproError):
 class JobExecutionError(SimulationError):
     """One or more supervised suite jobs failed permanently.
 
-    Raised by the strict entry point
-    (:func:`repro.core.experiment.run_suite`); carries the structured
-    per-job failures so callers can still see *which* points died. The
-    partial-result entry point (``run_suite_supervised``) returns these
-    in its report instead of raising.
+    Raised by :func:`repro.core.experiment.run_suite`. ``failures``
+    holds the structured per-job failures, so callers can still see
+    *which* points died; ``results`` holds every point that did
+    complete, in the shape the call returns on success.
     """
 
-    def __init__(self, failures) -> None:
+    def __init__(self, failures, results) -> None:
         self.failures = list(failures)
+        self.results = results
         summary = "; ".join(f.describe() for f in self.failures)
         super().__init__(f"{len(self.failures)} job(s) failed: {summary}")
 

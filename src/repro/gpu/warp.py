@@ -121,34 +121,27 @@ class CandidateSegment:
         return sum(1 for a in self.accesses if a.is_store)
 
     def all_line_addresses(self) -> List[int]:
-        """Every line address of the instance, in access order. Cached:
-        the analyzer re-reads this for every learning observation and
-        the offload path for every decision, so it is built once (a
-        fresh list copy is returned each call to keep mutation safe)."""
-        return list(self._all_lines())
+        """Every line address of the instance, in access order (a fresh
+        list on each call)."""
+        return self.line_address_array().tolist()
 
     def line_address_array(self) -> np.ndarray:
-        """``all_line_addresses`` as a read-only int64 array, built once
-        per segment — what the memory-map analyzer's vectorized mapping
-        sweep consumes directly."""
+        """Every line address of the instance, in access order, as a
+        read-only int64 array built once per segment: the memory-map
+        analyzer's vectorized mapping sweep re-reads it for every
+        learning observation, and the colocation study and gridrun's
+        candidate marks read it too. The array is the only copy the
+        segment keeps; the accesses hold the addresses themselves."""
         try:
             return self._line_array_cache  # type: ignore[attr-defined]
-        except AttributeError:
-            array = np.asarray(self._all_lines(), dtype=np.int64)
-            array.setflags(write=False)
-            object.__setattr__(self, "_line_array_cache", array)
-            return array
-
-    def _all_lines(self) -> Tuple[int, ...]:
-        try:
-            return self._all_lines_cache  # type: ignore[attr-defined]
         except AttributeError:
             lines: List[int] = []
             for access in self.accesses:
                 lines.extend(access.line_addresses)
-            cached = tuple(lines)
-            object.__setattr__(self, "_all_lines_cache", cached)
-            return cached
+            array = np.asarray(lines, dtype=np.int64)
+            array.setflags(write=False)
+            object.__setattr__(self, "_line_array_cache", array)
+            return array
 
 
 Segment = Union[PlainSegment, CandidateSegment]

@@ -7,7 +7,7 @@ to *forbid* heavy work while evaluating the query: run it under
 :func:`deny_simulation`, and the first code path that would actually
 simulate raises :class:`~repro.errors.SimulationDenied` instead. The
 end-to-end benchmark (``perfbench/run.py``) runs its warm phase this
-way, and ``tests/test_campaign.py`` (``TestGuard``) pins the contract.
+way, and ``tests/test_guard.py`` pins the contract.
 
 Checked at four choke points, outermost first:
 

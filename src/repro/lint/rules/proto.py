@@ -3,8 +3,8 @@
 The discrete-event engine resumes a coroutine process according to what
 it yields; anything other than a registered request dataclass
 (``Timeout``/``Acquire``/``Get``/``Put``/``Wait``/``AllOf``) raises at
-runtime — possibly deep into a multi-hour campaign. And since PR 8 the
-engine is dual-backend: components must be built through the factory
+runtime — possibly deep into a multi-hour sweep. And the engine is
+dual-backend: components must be built through the factory
 seam (``repro.accel.make_engine()`` plus ``engine.event()`` /
 ``engine.bandwidth_resource()`` / ``engine.slot_pool()``) so one
 selection point switches the whole simulation; naming an engine class

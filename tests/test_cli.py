@@ -64,6 +64,34 @@ class TestSuite:
         assert simulator.stats["runs"] == 5  # SP's baseline + 4 policies
         assert capsys.readouterr().out == clean
 
+    def test_supervision_flags_reach_the_supervisor(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        """``--max-retries``/``--job-timeout`` are exported as
+        REPRO_MAX_RETRIES/REPRO_JOB_TIMEOUT: a fault that fires once is
+        retried by default but fails the suite under
+        ``--max-retries 0``, and a non-positive timeout is a usage
+        error."""
+        argv = ["suite", "--scale", "TINY", "--workloads", "SP"]
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        # Empty reads as unset; setenv makes the test's teardown remove
+        # what the flags export.
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "")
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", "")
+        monkeypatch.setenv("REPRO_FAULTS", "raise@job/SP:n=1")
+        monkeypatch.setenv("REPRO_FAULTS_STATE", str(tmp_path / "once"))
+        assert main([*argv, "--max-retries", "0"]) == 3
+        assert "1 job(s) failed" in capsys.readouterr().err
+
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "")
+        monkeypatch.setenv("REPRO_FAULTS_STATE", str(tmp_path / "again"))
+        assert main(argv) == 0  # one default retry absorbs the fault
+        capsys.readouterr()
+
+        assert main([*argv, "--job-timeout", "0"]) == 2
+        assert "job timeout must be positive" in capsys.readouterr().err
+
     def test_malformed_jobs_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "abc")
         assert main(["suite", "--scale", "TINY"]) == 2
@@ -86,6 +114,12 @@ class TestFigure:
     def test_unknown_figure(self):
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
+
+    def test_figure_choices_match_registry(self):
+        from repro import cli
+        from repro.analysis.figures import FIGURE_BUILDERS
+
+        assert set(cli._FIGURES) == set(FIGURE_BUILDERS)
 
     def test_malformed_scale_env_exits_2(self, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "HUGE")

@@ -1,7 +1,7 @@
 """Tests for supervised job execution (repro.core.supervisor) and the
-supervised suite driver (run_suite_supervised): per-job fault
+suite driver on top of it (run_suite, run_points): per-job fault
 isolation, timeouts and retries, re-runs that the result cache answers,
-and the strict run_suite contract.
+and the JobExecutionError that carries failures and partial results.
 
 Crash and hang injections only ever target pooled runs (two or more
 jobs, ``jobs=2``): the inline path offers no containment, and an
@@ -13,12 +13,13 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig, baseline_config, ndp_config
-from repro.core import result_cache, simulator
+from repro.core import experiment, result_cache, simulator
 from repro.core.experiment import (
     SuitePoint,
-    point_key,
+    WorkloadRunner,
+    result_key,
+    run_points,
     run_suite,
-    run_suite_supervised,
 )
 from repro.core.policies import BASELINE, NDP_CTRL_BMAP, NDP_CTRL_TMAP
 from repro.core.supervisor import (
@@ -46,6 +47,30 @@ def _no_ambient_faults(monkeypatch):
 
 def _job(workload: str, **kwargs) -> SuiteJob:
     return SuiteJob(workload, POLICIES, TraceScale.TINY, 0, **kwargs)
+
+
+@pytest.fixture
+def dispatched(monkeypatch):
+    """Every job the suite hands the supervisor, in dispatch order;
+    tests clear it between runs."""
+    jobs = []
+    supervise = experiment.run_supervised
+
+    def spy(batch, **kwargs):
+        jobs.extend(batch)
+        return supervise(batch, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_supervised", spy)
+    return jobs
+
+
+def _partial(run):
+    """``(results, failures)`` of ``run()``: the return value, or the
+    partial results a JobExecutionError carries."""
+    try:
+        return run(), []
+    except JobExecutionError as error:
+        return error.results, error.failures
 
 
 class TestSupervisorConfig:
@@ -201,8 +226,8 @@ class TestInjectedFailures:
         assert by_name["RD"].attempts == 1
 
     def test_run_suite_stays_strict(self, no_persistent_cache, monkeypatch):
-        """The legacy entry point still raises on any failure — as a
-        structured JobExecutionError carrying the failures."""
+        """The suite raises on any failure — as a structured
+        JobExecutionError carrying the failures."""
         monkeypatch.setenv("REPRO_FAULTS", "raise@job/SP")
         with pytest.raises(JobExecutionError) as excinfo:
             run_suite(
@@ -210,6 +235,39 @@ class TestInjectedFailures:
             )
         (failure,) = excinfo.value.failures
         assert failure.workload == "SP"
+
+    @pytest.mark.parametrize("sweep", [False, True], ids=["single", "variants"])
+    def test_error_carries_partial_results(
+        self, no_persistent_cache, monkeypatch, sweep
+    ):
+        """The error carries every completed point in the shape a clean
+        run returns: one dict, or one per variant, each without SP."""
+        kwargs = {"variants": SWEEP} if sweep else {}
+
+        def run():
+            return run_suite(
+                POLICIES,
+                scale=TraceScale.TINY,
+                workloads=["SP", "RD"],
+                jobs=1,
+                **kwargs,
+            )
+
+        clean = run()
+        monkeypatch.setenv("REPRO_FAULTS", "raise@job/SP")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
+        with pytest.raises(JobExecutionError) as excinfo:
+            run()
+        error = excinfo.value
+        assert [f.workload for f in error.failures] == ["SP"]
+        assert isinstance(error.results, list) == sweep
+        if sweep:
+            assert len(error.results) == len(SWEEP)
+            pairs = zip(error.results, clean)
+        else:
+            pairs = [(error.results, clean)]
+        for got, expected in pairs:
+            assert got == {"RD": expected["RD"]}
 
 
 def _clean(monkeypatch, run):
@@ -233,46 +291,58 @@ class TestCacheResume:
         simulator.stats["runs"] = 0
 
     def _run(self):
-        return run_suite_supervised(
-            POLICIES, scale=TraceScale.TINY, workloads=["SP", "RD"]
-        )
+        return run_suite(POLICIES, scale=TraceScale.TINY, workloads=["SP", "RD"])
 
     def test_cache_records_every_point(self):
-        report = self._run()
-        assert report.ok
+        results = self._run()
         for name in ("SP", "RD"):
             for policy in (BASELINE, *POLICIES):
-                point = SuitePoint(name, TraceScale.TINY, 0, ndp_config(), policy)
-                key = point_key(point, baseline_config())
-                assert result_cache.load(key) == report.results[name][policy.label]
+                key = result_key(
+                    name, policy, TraceScale.TINY, 0, ndp_config(), baseline_config()
+                )
+                assert result_cache.load(key) == results[name][policy.label]
 
-    def test_rerun_skips_completed_points(self):
+    def test_rerun_skips_completed_points(self, dispatched):
         first = self._run()
         simulator.stats["runs"] = 0
+        dispatched.clear()
         again = self._run()
-        assert again.outcomes == []  # nothing dispatched
+        assert dispatched == []  # nothing dispatched
         assert simulator.stats["runs"] == 0
-        assert again.results == first.results
+        assert again == first
 
-    def test_rerun_dispatches_only_failed_workload(self, monkeypatch):
+    def test_runner_seeded_cache_answers_the_suite(self, dispatched):
+        """Points a plain WorkloadRunner stored are answered by the
+        suite without dispatching or simulating anything."""
+        runner = WorkloadRunner("SP", scale=TraceScale.TINY)
+        seeded = {policy.label: runner.run(policy) for policy in (BASELINE, *POLICIES)}
+        simulator.stats["runs"] = 0
+        results = run_suite(POLICIES, scale=TraceScale.TINY, workloads=["SP"])
+        assert dispatched == []
+        assert simulator.stats["runs"] == 0
+        assert results == {"SP": seeded}
+
+    def test_rerun_dispatches_only_failed_workload(self, monkeypatch, dispatched):
         clean = _clean(monkeypatch, self._run)
         monkeypatch.setenv("REPRO_FAULTS", "raise@job/SP")
-        broken = self._run()
-        assert [f.workload for f in broken.failures] == ["SP"]
-        assert set(broken.results) == {"RD"}
+        broken, failures = _partial(self._run)
+        assert [f.workload for f in failures] == ["SP"]
+        assert set(broken) == {"RD"}
 
         monkeypatch.delenv("REPRO_FAULTS")
         simulator.stats["runs"] = 0
-        healed = self._run()
-        assert [o.job.workload for o in healed.outcomes] == ["SP"]
+        dispatched.clear()
+        healed = self._run()  # raises on any failure
+        assert [job.workload for job in dispatched] == ["SP"]
         assert simulator.stats["runs"] == 2  # SP's baseline + ctrl+bmap
-        assert healed.ok and healed.results == clean.results
+        assert healed == clean
 
-    def test_no_cache_keeps_no_completion_record(self, monkeypatch):
+    def test_no_cache_keeps_no_completion_record(self, monkeypatch, dispatched):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         self._run()
-        again = self._run()
-        assert [o.job.workload for o in again.outcomes] == ["SP", "RD"]
+        dispatched.clear()
+        self._run()
+        assert [job.workload for job in dispatched] == ["SP", "RD"]
 
 
 #: Two Section 6.5 cross-stack bandwidth ratios: one supervised job per
@@ -281,7 +351,7 @@ SWEEP = (ndp_config(cross_stack_ratio=0.25), ndp_config(cross_stack_ratio=1.0))
 
 
 def _sweep(variants=SWEEP, **kwargs):
-    return run_suite_supervised(
+    return run_suite(
         (NDP_CTRL_TMAP,),
         scale=TraceScale.TINY,
         workloads=["SP", "RD", "BP"],
@@ -292,44 +362,58 @@ def _sweep(variants=SWEEP, **kwargs):
 
 
 class TestVariantSweeps:
-    def test_job_fault_fails_the_workload_in_every_variant(self, monkeypatch):
+    def test_job_fault_fails_the_workload_in_every_variant(
+        self, monkeypatch, dispatched
+    ):
         """A fault injected at ``job/SP`` fails SP's one job, which
         carries every variant: SP is missing from every variant, the
         other workloads match a clean sweep bit for bit, and a re-run
         dispatches only SP's job."""
         clean = _clean(monkeypatch, _sweep)
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
         monkeypatch.setenv("REPRO_FAULTS", "raise@job/SP")
-        broken = _sweep(max_retries=0)
-        assert [f.workload for f in broken.failures] == ["SP"]
-        assert len(broken.results) == len(SWEEP)
-        for got, expected in zip(broken.results, clean.results):
+        broken, failures = _partial(_sweep)
+        assert [f.workload for f in failures] == ["SP"]
+        assert len(broken) == len(SWEEP)
+        for got, expected in zip(broken, clean):
             assert "SP" not in got
             assert got == {k: v for k, v in expected.items() if k != "SP"}
 
         monkeypatch.delenv("REPRO_FAULTS")
-        healed = _sweep(max_retries=0)
-        assert [o.job.workload for o in healed.outcomes] == ["SP"]
-        assert healed.ok and healed.results == clean.results
+        dispatched.clear()
+        healed = _sweep()  # raises on any failure
+        assert [job.workload for job in dispatched] == ["SP"]
+        assert healed == clean
 
-    def test_cache_records_each_variant_under_its_key(self):
+    def test_cache_records_each_variant_under_its_key(self, dispatched):
         """Each variant's points are stored under the keys a one-variant
         run of that configuration uses, so such a run reads them back
         without dispatching anything."""
-        report = _sweep()
-        for config, results in zip(SWEEP, report.results):
-            single = run_suite_supervised(
+        sweep = _sweep()
+        for config, results in zip(SWEEP, sweep):
+            dispatched.clear()
+            single = run_suite(
                 (NDP_CTRL_TMAP,),
                 scale=TraceScale.TINY,
                 workloads=["SP", "RD", "BP"],
                 ndp_configuration=config,
             )
-            assert single.outcomes == [] and single.results == results
+            assert dispatched == [] and single == results
 
-    def test_rerun_with_other_variants_simulates_only_new_ones(self):
+    def test_rerun_with_other_variants_simulates_only_new_ones(self, dispatched):
         _sweep()
         extra = ndp_config(cross_stack_ratio=0.5)
-        again = _sweep(variants=(SWEEP[0], extra))
-        assert [o.job.variants for o in again.outcomes] == [(extra,)] * 3
+        dispatched.clear()
+        _sweep(variants=(SWEEP[0], extra))
+        assert [job.variants for job in dispatched] == [(extra,)] * 3
+
+    def test_equal_variants_run_once(self, no_persistent_cache, dispatched):
+        """Equal variants are one set of points: each workload's job
+        carries the configuration once, and every position gets its
+        results."""
+        first, second = _sweep(variants=(SWEEP[0], SWEEP[0]))
+        assert [job.variants for job in dispatched] == [(SWEEP[0],)] * 3
+        assert first == second and set(first) == {"SP", "RD", "BP"}
 
     def test_variants_and_ndp_configuration_are_exclusive(self):
         with pytest.raises(ConfigError):
@@ -345,16 +429,16 @@ class TestJobEvents:
         from repro.obs import TraceRecorder, event_from_dict
 
         monkeypatch.setenv("REPRO_FAULTS", "raise@job/SP")
+        monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
         recorder = TraceRecorder()
-        report = run_suite_supervised(
-            POLICIES,
-            scale=TraceScale.TINY,
-            workloads=["SP", "RD"],
-            jobs=2,
-            max_retries=0,
-            recorder=recorder,
-        )
+        points = [
+            SuitePoint(name, TraceScale.TINY, 0, ndp_config(), policy)
+            for name in ("SP", "RD")
+            for policy in (BASELINE, *POLICIES)
+        ]
+        report = run_points(points, jobs=2, recorder=recorder)
         assert len(report.failures) == 1
+        assert [r is None for r in report.results] == [True, True, False, False]
         by_name = {event.workload: event for event in recorder.jobs}
         assert by_name["SP"].status == "failed"
         assert by_name["SP"].error and "InjectedFault" in by_name["SP"].error

@@ -11,11 +11,13 @@ an RSS figure, which would depend on the host.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro import NDP_CTRL_TMAP, TraceScale, build_trace, make_workload, ndp_config
 from repro.core.simulator import Simulator
 from repro.gpu import warp
+from repro.mapping.transparent import candidate_instances, learn_offline
 from repro.utils.bitops import ilog2
 
 
@@ -75,3 +77,19 @@ def test_simulate_never_recomputes_line_ids(trace, monkeypatch):
     # The counter is live: an access built without ids computes them.
     assert warp.WarpAccess(0, False, (256,)).line_ids(7) == (2,)
     assert calls == [7]
+
+
+def test_segments_keep_one_copy_of_their_line_addresses(trace):
+    """A full-trace learning pass leaves each candidate segment its
+    int64 address array and nothing else: no tuple copy of the
+    addresses its accesses already hold."""
+    learn_offline(ndp_config(), trace.tasks, 1.0)
+    segments = candidate_instances(trace.tasks)
+    assert segments
+    for segment in segments:
+        assert not hasattr(segment, "_all_lines_cache")
+        flat = [a for access in segment.accesses for a in access.line_addresses]
+        array = segment.line_address_array()
+        assert array.dtype == np.int64 and not array.flags.writeable
+        assert array.tolist() == flat
+        assert segment.all_line_addresses() == flat

@@ -15,7 +15,7 @@ code span (so commands such as `` `python tools/x.py --flag` `` count)
 that starts with ``src/``, ``tools/``, ``benchmarks/``, ``tests/`` or
 ``perfbench/`` must exist under the repo root; one that starts with
 ``repro/`` under ``src/``; and one that starts with a subpackage name
-(``core/``, ``campaign/``, ...) under ``src/repro/``. ``*`` globs must
+(``core/``, ``analysis/``, ...) under ``src/repro/``. ``*`` globs must
 match something; ``:LINE`` and ``::Test`` suffixes are ignored.
 
 Run from anywhere: ``python tools/check_links.py``. Exit code 0 when

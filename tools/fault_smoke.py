@@ -6,11 +6,12 @@ Four acts over one small suite grid:
 1. a clean run with the result cache off — the reference results;
 2. the same run with an injected worker crash, the cache on in a fresh
    temporary directory — the crashing workload must fail
-   *structurally* (a JobFailure, not a dead suite) while every healthy
-   point stays bit-identical;
+   *structurally* (a JobExecutionError carrying one JobFailure and the
+   partial results, not a dead suite) while every healthy point stays
+   bit-identical;
 3. a plain re-run after the fault clears — the cache answers every
-   completed point, so only the failed workload may re-simulate, and
-   the final results must match the reference exactly;
+   completed point, so only the failed workload's job may be
+   dispatched, and the final results must match the reference exactly;
 4. a fault injected into one *grid lane* — the lane must be evicted to
    a fresh scalar replay while the rest of the grid runs on, with every
    result still bit-identical.
@@ -40,28 +41,41 @@ def fail(message: str) -> None:
 def main() -> None:
     # Acts 1 and 4 force actual simulation; acts 2-3 use a private cache.
     os.environ["REPRO_NO_CACHE"] = "1"
+    os.environ["REPRO_MAX_RETRIES"] = "0"
     os.environ.pop("REPRO_FAULTS", None)
     os.environ.pop("REPRO_FAULTS_STATE", None)
 
     from repro import NDP_CTRL_BMAP, NDP_CTRL_TMAP, TraceScale
-    from repro.core.experiment import run_suite_supervised
+    from repro.core import experiment
+    from repro.errors import JobExecutionError
 
     policies = (NDP_CTRL_BMAP, NDP_CTRL_TMAP)
 
-    def run(**kwargs):
-        return run_suite_supervised(
-            policies,
-            scale=TraceScale.TINY,
-            workloads=WORKLOADS,
-            jobs=2,
-            max_retries=0,
-            **kwargs,
-        )
+    # Record which workloads each run dispatches to the supervisor.
+    dispatched = []
+    supervise = experiment.run_supervised
+
+    def recording(jobs, **kwargs):
+        dispatched.extend(job.workload for job in jobs)
+        return supervise(jobs, **kwargs)
+
+    experiment.run_supervised = recording
+
+    def run():
+        """(results, failures) of one supervised suite run."""
+        dispatched.clear()
+        try:
+            results = experiment.run_suite(
+                policies, scale=TraceScale.TINY, workloads=WORKLOADS, jobs=2
+            )
+        except JobExecutionError as error:
+            return error.results, error.failures
+        return results, []
 
     print("[1/4] clean reference run ...")
-    clean = run()
-    if clean.failures or sorted(clean.results) != sorted(WORKLOADS):
-        fail(f"clean run did not complete: {clean.failures}")
+    clean, failures = run()
+    if failures or sorted(clean) != sorted(WORKLOADS):
+        fail(f"clean run did not complete: {failures}")
 
     with tempfile.TemporaryDirectory() as tmp:
         del os.environ["REPRO_NO_CACHE"]
@@ -69,38 +83,37 @@ def main() -> None:
 
         print(f"[2/4] crash injected into job/{CRASH_TARGET} ...")
         os.environ["REPRO_FAULTS"] = f"crash@job/{CRASH_TARGET}"
-        broken = run()
+        broken, failures = run()
         del os.environ["REPRO_FAULTS"]
 
-        if [f.workload for f in broken.failures] != [CRASH_TARGET]:
-            fail(f"expected exactly one {CRASH_TARGET} failure, got {broken.failures}")
-        if broken.failures[0].kind != "crash":
-            fail(f"expected kind=crash, got {broken.failures[0].kind!r}")
+        if [f.workload for f in failures] != [CRASH_TARGET]:
+            fail(f"expected exactly one {CRASH_TARGET} failure, got {failures}")
+        if failures[0].kind != "crash":
+            fail(f"expected kind=crash, got {failures[0].kind!r}")
         healthy = [name for name in WORKLOADS if name != CRASH_TARGET]
+        if sorted(broken) != sorted(healthy):
+            fail(f"partial results hold {sorted(broken)}, expected {healthy}")
         for name in healthy:
-            if broken.results.get(name) != clean.results[name]:
+            if broken[name] != clean[name]:
                 fail(f"healthy workload {name} diverged under fault injection")
         print(f"      {CRASH_TARGET} failed structurally; "
               f"{', '.join(healthy)} bit-identical to clean run")
 
         print("[3/4] plain re-run after the fault cleared ...")
-        rerun = run()
-        reran = [outcome.job.workload for outcome in rerun.outcomes]
-        if reran != [CRASH_TARGET]:
-            fail(f"re-run simulated {reran}, expected only [{CRASH_TARGET!r}]")
-        if rerun.failures:
-            fail(f"re-run still failing: {rerun.failures}")
+        rerun, failures = run()
+        if dispatched != [CRASH_TARGET]:
+            fail(f"re-run simulated {dispatched}, expected only [{CRASH_TARGET!r}]")
+        if failures:
+            fail(f"re-run still failing: {failures}")
         for name in WORKLOADS:
-            if rerun.results.get(name) != clean.results[name]:
+            if rerun.get(name) != clean[name]:
                 fail(f"re-run workload {name} diverged from clean run")
         print(f"      only {CRASH_TARGET} re-simulated; full grid matches the reference")
         os.environ["REPRO_NO_CACHE"] = "1"
 
     print(f"[4/4] fault injected into grid lane lane/{LANE_TARGET}/{LANE_POLICY} ...")
-    from repro.core.experiment import WorkloadRunner
-
     os.environ["REPRO_FAULTS"] = f"raise@lane/{LANE_TARGET}/{LANE_POLICY}"
-    runner = WorkloadRunner(LANE_TARGET, scale=TraceScale.TINY)
+    runner = experiment.WorkloadRunner(LANE_TARGET, scale=TraceScale.TINY)
     lane_results = runner.run_grid(policies)
     del os.environ["REPRO_FAULTS"]
 
@@ -112,7 +125,7 @@ def main() -> None:
     if report.simulated < 1:
         fail("the rest of the grid must still run in the grid")
     for policy in policies:
-        if lane_results[policy.label] != clean.results[LANE_TARGET][policy.label]:
+        if lane_results[policy.label] != clean[LANE_TARGET][policy.label]:
             fail(f"lane-evicted grid diverged on {policy.label}")
     print(f"      {LANE_POLICY} evicted to scalar replay; "
           f"{report.simulated} lanes simulated in the grid; results bit-identical")
