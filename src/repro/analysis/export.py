@@ -239,20 +239,7 @@ def write_bundle(
     """
     from . import figures
 
-    drivers: Dict[str, Callable[[], FigureResult]] = {
-        "fig2": figures.figure2,
-        "fig3": figures.figure3,
-        "fig5": figures.figure5,
-        "fig6": figures.figure6,
-        "fig8": figures.figure8,
-        "fig9": figures.figure9,
-        "fig10": figures.figure10,
-        "fig11": figures.figure11,
-        "fig12": figures.figure12,
-        "fig13": figures.figure13,
-        "sec65": figures.section65,
-        "sec66": figures.section66,
-    }
+    drivers = figures.FIGURE_BUILDERS
     chosen = list(figure_names) if figure_names is not None else list(drivers)
     unknown = [name for name in chosen if name not in drivers]
     if unknown:

@@ -192,9 +192,9 @@ class WorkloadRunner:
         (:mod:`repro.core.gridrun`) over one shared trace.
 
         Returns ``{policy_label: result}`` when ``variants`` is None,
-        else one such dict per variant. Results are bit-identical to
-        running each variant on its own :class:`WorkloadRunner` (the
-        scalar engine remains the reference). Per-lane caching is
+        else one such dict per variant. Every result is bit-identical
+        to running its point alone on a fresh :class:`WorkloadRunner`
+        (the scalar engine remains the reference). Per-lane caching is
         unchanged: every lane probes the persistent cache under the
         exact key :meth:`run` would use — before the trace is built, so
         a fully-warm grid builds nothing — and stores its result back.
@@ -234,21 +234,18 @@ class WorkloadRunner:
         scalar_runners: Dict[int, "WorkloadRunner"] = {}
 
         def variant_runner(index: int) -> "WorkloadRunner":
+            cfg = ndp_variants[index]
+            if cfg == self.ndp_configuration:
+                return self
             runner = scalar_runners.get(index)
             if runner is None:
-                cfg = ndp_variants[index]
-                if cfg == self.ndp_configuration and not any(
-                    r is self for r in scalar_runners.values()
-                ):
-                    runner = self
-                else:
-                    runner = WorkloadRunner(
-                        self.model.name if self._persistent_ok else self.model,
-                        scale=self.scale,
-                        seed=self.seed,
-                        ndp_configuration=cfg,
-                        baseline_configuration=self.baseline_configuration,
-                    )
+                runner = WorkloadRunner(
+                    self.model.name if self._persistent_ok else self.model,
+                    scale=self.scale,
+                    seed=self.seed,
+                    ndp_configuration=cfg,
+                    baseline_configuration=self.baseline_configuration,
+                )
                 scalar_runners[index] = runner
             return runner
 
@@ -379,27 +376,29 @@ def run_points(
     policies follow the order they first appear in ``points``. All jobs
     go to one :func:`~repro.core.supervisor.run_supervised` call; a
     failing job becomes a structured failure and leaves its points
-    ``None``. The supervisor's timeout and retries come from
-    ``REPRO_JOB_TIMEOUT``/``REPRO_MAX_RETRIES``. A ``recorder`` with a
-    ``job`` hook (e.g. :class:`repro.obs.TraceRecorder`) receives one
-    job-lifecycle event per outcome.
+    ``None``. Each job stores its points in the cache itself, through
+    its :class:`WorkloadRunner`. The supervisor's timeout and retries
+    come from ``REPRO_JOB_TIMEOUT``/``REPRO_MAX_RETRIES``. A
+    ``recorder`` with a ``job`` hook (e.g.
+    :class:`repro.obs.TraceRecorder`) receives one job-lifecycle event
+    per outcome.
     """
     base_config = baseline_config()
     report = PointsReport(results=[None] * len(points))
     caching = result_cache.enabled()
-    keys: List[Optional[str]] = [None] * len(points)
     missing: List[int] = []
     for index, point in enumerate(points):
         if caching:
-            keys[index] = result_key(
-                point.workload,
-                point.policy,
-                point.scale,
-                point.seed,
-                point.config,
-                base_config,
+            cached = result_cache.load(
+                result_key(
+                    point.workload,
+                    point.policy,
+                    point.scale,
+                    point.seed,
+                    point.config,
+                    base_config,
+                )
             )
-            cached = result_cache.load(keys[index])
             if cached is not None:
                 report.results[index] = cached
                 continue
@@ -478,11 +477,6 @@ def run_points(
         for index in members:
             result = outcome.results[variant_of[index]][points[index].policy.label]
             report.results[index] = result
-            # Workers store through their own WorkloadRunner; repeating
-            # the store here covers crashed workers' surviving siblings
-            # too (idempotent either way).
-            if caching:
-                result_cache.store(keys[index], result)
     return report
 
 

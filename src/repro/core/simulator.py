@@ -125,10 +125,9 @@ class Simulator:
             #
             # ``oracle_learned`` lets the grid driver inject a learning
             # outcome it already computed for this trace (the analysis
-            # is deterministic and table-independent, so the injected
-            # result is bit-identical to recomputing it). The
-            # caller then owns the allocation-table candidate marks that
-            # ``learn_offline`` would have made as a side effect.
+            # is deterministic and leaves the trace untouched, so the
+            # injected outcome, candidate pages included, is
+            # bit-identical to recomputing it).
             learned = oracle_learned
             if learned is None:
                 learned = learn_offline(
@@ -143,7 +142,7 @@ class Simulator:
                 self._static_mapping = HybridMapping(
                     config,
                     ConsecutiveBitMapping(config, oracle_position),
-                    candidate_pages=trace.allocation_table.candidate_pages(),
+                    candidate_pages=learned.candidate_pages,
                 )
             self._oracle_position = oracle_position
 

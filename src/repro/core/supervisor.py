@@ -115,7 +115,7 @@ def execute_job(job: SuiteJob) -> JobResults:
     """Run one job (in a worker or inline): build the workload's trace
     once and simulate every (variant, policy) point against it through
     the grid driver (``WorkloadRunner.run_grid`` — bit-identical to
-    sequential per-variant runs, and itself falling back to the
+    running each point alone, and itself falling back to the
     runner's own ``run`` when fewer than two lanes miss). Results
     land in the persistent cache from inside the worker, so even a
     crashed parent keeps completed work."""

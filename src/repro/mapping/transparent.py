@@ -9,7 +9,8 @@ The runtime state machine:
 2. When the target number of instances (``learn_fraction`` of the
    total, at least ``min_learn_instances``) has been observed, the GPU
    runtime is interrupted: the best consecutive-bit mapping is chosen,
-   candidate-touched ranges are marked, and the delayed memory copy
+   candidate-touched ranges are marked (by this run's analyzer — the
+   trace's allocation table stays read-only), and the delayed memory copy
    places those ranges with the learned mapping — everything else keeps
    the baseline mapping. There is no remapping cost beyond the copy
    that would have happened anyway.
@@ -57,7 +58,6 @@ class TransparentDataMapping:
         recorder=NULL_RECORDER,
     ) -> None:
         self.config = config
-        self.allocation_table = allocation_table
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         self.analyzer = MemoryMapAnalyzer(config, allocation_table)
         # Target: learn_fraction of all instances, floored at
@@ -113,7 +113,7 @@ class TransparentDataMapping:
             self._mapping = HybridMapping(
                 self.config,
                 learned_mapping,
-                candidate_pages=self.allocation_table.candidate_pages(),
+                candidate_pages=self.learned.candidate_pages,
             )
         # else: no observed mapping co-locates (irregular accesses) —
         # concentrating pages would cost main-GPU bandwidth for no NDP
@@ -136,7 +136,9 @@ def learn_offline(
     allocation_table: Optional[MemoryAllocationTable] = None,
 ) -> LearnedMapping:
     """Run the analyzer over the first ``fraction`` of candidate
-    instances of a trace without simulating time (Figure 6 bars)."""
+    instances of a trace without simulating time (Figure 6 bars). With
+    the trace's ``allocation_table`` the outcome also carries the
+    candidate pages (empty without one)."""
     if not 0.0 < fraction <= 1.0:
         raise AnalysisError(f"fraction must be in (0, 1], got {fraction}")
     instances = candidate_instances(tasks)

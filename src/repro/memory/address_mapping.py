@@ -24,7 +24,7 @@ never slice the line offset).
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import AbstractSet, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -186,7 +186,7 @@ class HybridMapping(AddressMapping):
         self,
         config: SystemConfig,
         learned: ConsecutiveBitMapping,
-        candidate_pages: Optional[set] = None,
+        candidate_pages: Optional[AbstractSet[int]] = None,
     ) -> None:
         super().__init__(config)
         self.learned = learned

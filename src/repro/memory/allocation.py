@@ -8,6 +8,11 @@ the learned mapping. The paper provisions 100 entries of 97 bits each
 (48-bit start, 48-bit length, 1 candidate bit); Section 6.6 charges
 9,700 bits of storage for it.
 
+The table here holds the allocations only and is read-only once the
+trace is built: the candidate bit belongs to one program run, so each
+run's analyzer (:class:`repro.ndp.analyzer.MemoryMapAnalyzer`) keeps its
+own marks, and runs sharing a trace never see each other's.
+
 This module doubles as the library's *allocator* for workload arrays:
 allocations are page-aligned and laid out sequentially, so the distance
 between two array bases always has a large power-of-two factor — the
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import AllocationError
 from ..utils.bitops import align_up
@@ -29,14 +34,13 @@ ENTRY_BITS = 97
 TABLE_BITS = MAX_ENTRIES * ENTRY_BITS
 
 
-@dataclass
+@dataclass(frozen=True)
 class AllocationRange:
     """One recorded allocation."""
 
     name: str
     start: int
     length: int
-    accessed_by_candidate: bool = False
 
     @property
     def end(self) -> int:
@@ -140,41 +144,6 @@ class MemoryAllocationTable:
 
     def __iter__(self):
         return iter(self._ranges)
-
-    def mark_candidate(self, address: int) -> bool:
-        """Set the candidate bit of the range containing ``address``
-        (memory-map analyzer, Section 4.3 step 3). Returns False when
-        the address is outside every recorded range."""
-        entry = self.lookup(address)
-        if entry is None:
-            return False
-        entry.accessed_by_candidate = True
-        return True
-
-    def mark_candidates(self, addresses: Iterable[int]) -> int:
-        """Bulk :meth:`mark_candidate` over an address stream (one
-        analyzer observation's page-deduplicated addresses); returns how
-        many addresses landed inside a recorded range."""
-        marked = 0
-        for address in addresses:
-            entry = self.lookup(address)
-            if entry is not None:
-                entry.accessed_by_candidate = True
-                marked += 1
-        return marked
-
-    def candidate_ranges(self) -> List[AllocationRange]:
-        return [r for r in self._ranges if r.accessed_by_candidate]
-
-    def candidate_pages(self) -> set:
-        """Page indices covered by candidate-marked ranges — the set the
-        hybrid (tmap) mapping consults."""
-        pages: set = set()
-        for entry in self.candidate_ranges():
-            first = entry.start // self.page_bytes
-            last = (entry.end - 1) // self.page_bytes
-            pages.update(range(first, last + 1))
-        return pages
 
     @property
     def storage_bits(self) -> int:

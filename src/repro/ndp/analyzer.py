@@ -10,9 +10,13 @@ single stack. When the pre-determined number of instances has been
 observed it interrupts the GPU runtime, which:
 
 * picks the bit position with the highest average co-location, and
-* marks, in the memory allocation table, every allocation range that
-  candidate instances touched, so only those ranges get the learned
-  mapping when data is finally copied to GPU memory.
+* marks every allocation range that candidate instances touched, so
+  only those ranges get the learned mapping when data is finally
+  copied to GPU memory.
+
+The marks are the analyzer's own: it looks ranges up in the (read-only)
+allocation table and hands the pages of the marked ranges out with the
+:class:`LearnedMapping`, so every run learns from a clean slate.
 
 The hardware cost modelled in Section 6.6 is 40 bits per in-flight
 candidate instance (10 mappings x 4-bit stack counters), 48 warps/SM.
@@ -21,7 +25,7 @@ candidate instance (10 mappings x 4-bit stack counters), 48 warps/SM.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, FrozenSet, Optional
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from ..config import SystemConfig
 from ..errors import AnalysisError
 from ..gpu.warp import CandidateSegment
 from ..memory.address_mapping import ConsecutiveBitMapping, sweep_positions
-from ..memory.allocation import MemoryAllocationTable
+from ..memory.allocation import AllocationRange, MemoryAllocationTable
 
 #: Section 6.6 storage accounting.
 BITS_PER_MAPPING_OPTION = 4
@@ -39,12 +43,15 @@ BITS_PER_INSTANCE = BITS_PER_MAPPING_OPTION * N_MAPPING_OPTIONS  # 40
 
 @dataclass(frozen=True)
 class LearnedMapping:
-    """Outcome of the learning phase."""
+    """Outcome of the learning phase. ``candidate_pages`` are the page
+    indices of the allocation ranges the observed instances touched —
+    the pages the hybrid mapping places with the learned position."""
 
     position: int
     colocation: float
     instances_observed: int
     per_position_colocation: Dict[int, float]
+    candidate_pages: FrozenSet[int]
 
 
 class MemoryMapAnalyzer:
@@ -65,6 +72,8 @@ class MemoryMapAnalyzer:
             for p in self.positions
         }
         self.instances_observed = 0
+        # Ranges candidates touched, keyed by start (the candidate bit).
+        self._marked: Dict[int, AllocationRange] = {}
 
     def observe(self, segment: CandidateSegment) -> None:
         """Record one candidate instance's accesses (learning phase)."""
@@ -77,16 +86,25 @@ class MemoryMapAnalyzer:
             self._colocation_sum[position] += counts.max() / addresses.size
             self._modal_stack_counts[position][int(counts.argmax())] += 1
         self.instances_observed += 1
-        if self.allocation_table is not None:
-            self.allocation_table.mark_candidates(
-                self._representative_addresses(addresses).tolist()
-            )
+        table = self.allocation_table
+        if table is not None:
+            # Page-deduplicated addresses are enough to find every
+            # touched range without walking each line.
+            for address in (np.unique(addresses >> 12) << 12).tolist():
+                entry = table.lookup(address)
+                if entry is not None:
+                    self._marked[entry.start] = entry
 
-    @staticmethod
-    def _representative_addresses(addresses: np.ndarray) -> np.ndarray:
-        """Page-deduplicated addresses, enough to mark every touched
-        allocation range without walking each line."""
-        return np.unique(addresses >> 12) << 12
+    def candidate_pages(self) -> FrozenSet[int]:
+        """Page indices covered by the ranges marked so far."""
+        pages: set = set()
+        if self.allocation_table is not None:
+            page_bytes = self.allocation_table.page_bytes
+            for entry in self._marked.values():
+                first = entry.start // page_bytes
+                last = (entry.end - 1) // page_bytes
+                pages.update(range(first, last + 1))
+        return frozenset(pages)
 
     def best_mapping(self) -> LearnedMapping:
         """The bit position with the highest mean co-location.
@@ -112,6 +130,7 @@ class MemoryMapAnalyzer:
             colocation=averages[best_position],
             instances_observed=self.instances_observed,
             per_position_colocation=averages,
+            candidate_pages=self.candidate_pages(),
         )
 
     @property

@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro import ndp_config
 from repro.errors import AllocationError
+from repro.gpu.warp import CandidateSegment, WarpAccess
 from repro.memory.allocation import (
     ENTRY_BITS,
     MAX_ENTRIES,
     TABLE_BITS,
     MemoryAllocationTable,
 )
+from repro.ndp.analyzer import MemoryMapAnalyzer
 
 
 class TestAllocation:
@@ -68,33 +71,48 @@ class TestAllocation:
         assert len(table) == 3
 
 
+def _learned_pages(table, addresses):
+    """Candidate pages one analyzer learns from a single instance that
+    touches ``addresses`` (the candidate bit lives in the analyzer)."""
+    segment = CandidateSegment(
+        block_id=0,
+        n_instructions=1,
+        accesses=tuple(WarpAccess(0, False, (a,)) for a in addresses),
+    )
+    analyzer = MemoryMapAnalyzer(ndp_config(), table)
+    analyzer.observe(segment)
+    return analyzer.best_mapping().candidate_pages
+
+
 class TestCandidateMarking:
     def test_mark_sets_flag(self):
         table = MemoryAllocationTable()
         a = table.allocate("a", 8192)
         table.allocate("b", 8192)
-        assert table.mark_candidate(a.start + 100)
-        assert a.accessed_by_candidate
-        assert [r.name for r in table.candidate_ranges()] == ["a"]
+        pages = _learned_pages(table, [a.start + 100])
+        assert pages == {a.start // 4096, a.start // 4096 + 1}
 
     def test_mark_outside_any_range(self):
         table = MemoryAllocationTable()
         table.allocate("a", 4096)
-        assert not table.mark_candidate(1)
+        assert _learned_pages(table, [1 << 12]) == frozenset()
 
     def test_candidate_pages_cover_range(self):
         table = MemoryAllocationTable(page_bytes=4096)
         a = table.allocate("a", 3 * 4096 + 1)
-        table.mark_candidate(a.start)
-        pages = table.candidate_pages()
+        pages = _learned_pages(table, [a.start])
         assert len(pages) == 4
         assert a.start // 4096 in pages
         assert (a.end - 1) // 4096 in pages
 
     def test_unmarked_table_has_no_pages(self):
+        """Marking leaves the table itself untouched: a second analyzer
+        over the same table starts from no marks."""
         table = MemoryAllocationTable()
-        table.allocate("a", 4096)
-        assert table.candidate_pages() == set()
+        a = table.allocate("a", 4096)
+        table.allocate("b", 4096)
+        assert _learned_pages(table, [a.start])
+        assert _learned_pages(table, [1 << 12]) == frozenset()
 
 
 class TestStorageAccounting:

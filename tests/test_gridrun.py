@@ -4,9 +4,10 @@ The contract under test (repro.core.gridrun): running a grid of
 (policy, configuration) points through ``WorkloadRunner.run_grid`` is
 bit-identical to running each variant's policies sequentially through
 its own ``WorkloadRunner`` — the scalar ``Simulator`` stays the
-reference implementation. On top of that: deduplicated lanes replay
-their allocation-table side effects, faulted lanes evict to scalar
-replay without touching the rest of the grid.
+reference implementation. Since no run writes the trace, every lane
+also equals its point run alone on a fresh runner, and a policy's
+result does not depend on what ran on the runner before it. Faulted
+lanes evict to scalar replay without touching the rest of the grid.
 
 The suite-level sweep (``run_suite(..., variants=...)``: one job per
 workload carrying every configuration) must answer exactly what
@@ -129,6 +130,28 @@ class TestBitIdentity:
         assert oracle.policy_label == NDP_CTRL_ORACLE.label
         assert oracle.learned_bit_position is not None
 
+    @pytest.mark.parametrize("workload", ["SP", "BFS"])
+    def test_each_lane_equals_a_fresh_single_point_run(
+        self, workload, monkeypatch
+    ):
+        """The lane contract: a grid lane is its point run alone on a
+        fresh runner, even over a trace other policies already ran on."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        variants = [_threshold_variant(t) for t in (0.90, 0.85)]
+        runner = WorkloadRunner(
+            workload, scale=TraceScale.TINY, ndp_configuration=variants[0]
+        )
+        runner.run(NDP_CTRL_ORACLE, cache=False)
+        runner.run(NDP_CTRL_TMAP, cache=False)
+        got = runner.run_grid(GRID_POLICIES, variants=variants)
+        assert runner.last_grid_report.deduplicated > 0
+        for index, cfg in enumerate(variants):
+            for policy in GRID_POLICIES:
+                alone = WorkloadRunner(
+                    workload, scale=TraceScale.TINY, ndp_configuration=cfg
+                ).run(policy, cache=False)
+                assert got[index][policy.label] == alone, (index, policy.label)
+
     @pytest.mark.skipif(
         not os.environ.get("REPRO_FULL_GRID"),
         reason="full 70-point SMALL grid check; set REPRO_FULL_GRID=1",
@@ -147,6 +170,29 @@ class TestBitIdentity:
                     workload,
                     policy.label,
                 )
+
+
+class TestRunOrder:
+    """Runs on one runner share its trace but nothing else: a policy's
+    result does not depend on what ran on the trace before it."""
+
+    @pytest.mark.parametrize("workload", ["SP", "KM"])
+    @pytest.mark.parametrize(
+        "first, second",
+        [(NDP_CTRL_ORACLE, NDP_CTRL_TMAP), (NDP_CTRL_TMAP, NDP_CTRL_ORACLE)],
+        ids=["oracle-then-tmap", "tmap-then-oracle"],
+    )
+    def test_earlier_run_does_not_change_later_one(
+        self, workload, first, second, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        shared = WorkloadRunner(workload, scale=TraceScale.TINY)
+        shared.run(first, cache=False)
+        after = shared.run(second, cache=False)
+        alone = WorkloadRunner(workload, scale=TraceScale.TINY).run(
+            second, cache=False
+        )
+        assert after == alone
 
 
 class TestEngagement:

@@ -195,9 +195,13 @@ class TestMemoryMapAnalyzer:
     def test_marks_allocation_table(self):
         table = MemoryAllocationTable()
         array = table.allocate("a", 64 * 1024)
+        table.allocate("b", 64 * 1024)
         analyzer = MemoryMapAnalyzer(CFG, table)
         analyzer.observe(make_segment([array.start, array.start + 128]))
-        assert array.accessed_by_candidate
+        first = array.start // table.page_bytes
+        assert analyzer.best_mapping().candidate_pages == set(
+            range(first, first + 16)
+        )
 
     def test_storage_bits_per_sm(self):
         analyzer = MemoryMapAnalyzer(CFG)

@@ -302,6 +302,13 @@ class TestCacheResume:
                 )
                 assert result_cache.load(key) == results[name][policy.label]
 
+    def test_cold_run_stores_each_point_once(self):
+        """The job's runner stores every point it simulates; the
+        planner does not store them a second time."""
+        result_cache.reset_stats()
+        self._run()
+        assert result_cache.stats["stores"] == 2 * len((BASELINE, *POLICIES))
+
     def test_rerun_skips_completed_points(self, dispatched):
         first = self._run()
         simulator.stats["runs"] = 0

@@ -4,7 +4,10 @@ import dataclasses
 
 import pytest
 
-from repro import ndp_config
+from repro import TraceScale, build_trace, ndp_config
+from repro.core.policies import NDP_CTRL_ORACLE, NDP_CTRL_TMAP
+from repro.core.simulator import Simulator
+from repro.workloads.base import make_workload
 from repro.errors import AnalysisError
 from repro.gpu.warp import CandidateSegment, PlainSegment, WarpAccess, WarpTask
 from repro.mapping.transparent import (
@@ -88,7 +91,10 @@ class TestPhaseTransition:
             runtime.observe_instance(segment)
         assert isinstance(runtime.current_mapping, HybridMapping)
         assert runtime.learned.colocation >= CFG.control.min_learned_colocation
-        assert table.candidate_pages()
+        assert runtime.learned.candidate_pages
+        assert runtime.current_mapping.candidate_pages == (
+            runtime.learned.candidate_pages
+        )
 
     def test_poor_colocation_falls_back_to_baseline(self):
         import numpy as np
@@ -172,3 +178,23 @@ class TestColocationMetric:
         mapping = BaselineMapping(CFG)
         value = colocation_under_mapping(mapping, make_tasks(), 4)
         assert 0.25 <= value <= 1.0
+
+
+class TestReadOnlyTable:
+    """Learning marks belong to the run that learned them: simulating
+    leaves the trace's allocation table as the trace build made it."""
+
+    @staticmethod
+    def _state(table):
+        # Everything but the lookup memo, a cache of the same ranges.
+        return {k: v for k, v in vars(table).items() if k != "_page_memo"}
+
+    @pytest.mark.parametrize(
+        "policy", [NDP_CTRL_TMAP, NDP_CTRL_ORACLE], ids=lambda p: p.label
+    )
+    def test_run_leaves_table_as_built(self, policy):
+        model = make_workload("SP")
+        trace = build_trace(model, CFG, TraceScale.TINY, 0)
+        Simulator(trace, CFG, policy).run()
+        fresh = build_trace(model, CFG, TraceScale.TINY, 0).allocation_table
+        assert self._state(trace.allocation_table) == self._state(fresh)
