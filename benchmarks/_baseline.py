@@ -1,7 +1,8 @@
 """Machine-readable perf baselines for the microbenchmark smoke steps.
 
 Each tracked microbenchmark (``bench_engine_throughput``,
-``bench_memory_subsystem``, ``bench_grid_lockstep``) can emit a small
+``bench_memory_subsystem``, ``bench_grid_lockstep``,
+``bench_warm_lookup``) can emit a small
 JSON document — median-of-k wall times per metric plus a fingerprint of
 the machine and parameters it was measured on — via ``--json PATH``.
 The repository checks in one such document per benchmark

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import ConfigError
 from .utils.bitops import ilog2, is_power_of_two
@@ -327,14 +328,23 @@ class SystemConfig:
         return dataclasses.replace(self, **kwargs)
 
 
+@lru_cache(maxsize=None, typed=True)
 def baseline_config() -> SystemConfig:
-    """The non-NDP baseline: 68 main SMs, no logic-layer SMs used."""
+    """The non-NDP baseline: 68 main SMs, no logic-layer SMs used.
+
+    Returns one shared frozen instance. The result cache memoizes a
+    config's key digest on the instance itself
+    (``result_cache._config_digest``), so every caller that shares the
+    instance reuses that digest instead of re-serializing an equal,
+    freshly built config. Derive variants with
+    :meth:`SystemConfig.replace`."""
     return SystemConfig(
         gpu=GpuConfig(n_sms=68),
         ndp_enabled=False,
     ).validate()
 
 
+@lru_cache(maxsize=None, typed=True)
 def ndp_config(
     warp_capacity_multiplier: int = 1,
     internal_bandwidth_ratio: float = 2.0,
@@ -346,6 +356,11 @@ def ndp_config(
     to the 80 GB/s external link (Figure 13 uses 1.0 and 2.0);
     ``cross_stack_ratio`` scales cross-stack links relative to the
     GPU<->stack links (Section 6.5 sweeps 0.125-1.0).
+
+    Returns one shared frozen instance per argument tuple, for the
+    reason given under :func:`baseline_config`. ``typed=True`` keeps
+    ``1`` and ``1.0`` apart: equal arguments of different types can
+    serialize differently, and the digest memo is by identity, not value.
     """
     gpu_stack_gbps = 80.0
     return SystemConfig(

@@ -405,7 +405,10 @@ def run_points(
         missing.append(index)
 
     # One trace-sharing group per job; fingerprints memoized per config
-    # object (callers reuse one object for every point of a config).
+    # object (callers reuse one object for every point of a config). This
+    # memo lives for one call, but since ndp_config()/baseline_config()
+    # return shared instances, the cache-key digest kept on each instance
+    # (result_cache._config_digest) hits across calls, runners and figures.
     fingerprints: Dict[int, str] = {}
     groups: Dict[Tuple[str, TraceScale, int, str], List[int]] = {}
     for index in missing:

@@ -13,10 +13,15 @@ SHA-256 over every input that determines the result:
 * workload name, trace scale, trace seed;
 * the *trace* configuration (traces are built from the NDP config even
   for baseline runs) and the *run* configuration, each as the SHA-256 of
-  its canonical JSON (computed once per config instance and kept on it);
+  its canonical JSON (computed once per config instance and kept on it;
+  :func:`~repro.config.ndp_config` and :func:`~repro.config.baseline_config`
+  return shared frozen instances, so every caller reuses one digest);
 * the policy label (and oracle position, when pinned);
 * a code version: a hash over every ``.py`` source file of the
   ``repro`` package, so any code change invalidates the whole cache.
+
+These inputs hash as one JSON list in a fixed order — an injective form
+that builds and sorts no dict.
 
 Environment knobs (documented in ``docs/PERFORMANCE.md``):
 
@@ -26,12 +31,15 @@ Environment knobs (documented in ``docs/PERFORMANCE.md``):
     Disable the cache entirely (every run simulates).
 
 Results are stored via the lossless JSON serialization in
-:mod:`repro.analysis.export` (imported lazily to keep the core layer
-import-free of the analysis layer).
+:mod:`repro.analysis.export` (imported on first use to keep the core
+layer import-free of the analysis layer).
 
 Entry format v3: a header line ``{"format":3,"checksum":"<sha256>"}``,
 then the result's compact JSON. The checksum covers exactly those
-result bytes, so a hit is one read, one hash and one parse. Entries
+result bytes, so a hit is one read, one hash, one byte comparison of
+the header against the one :func:`store` writes, and one parse. A
+header that is not byte-identical is parsed and checked field by field
+instead, so a valid header spelled differently still hits. Entries
 that fail any check — unreadable, unparseable header, stale format,
 checksum mismatch, undecodable result — count in ``stats["corrupt"]``,
 log a one-line warning, and are *quarantined* (moved to
@@ -130,19 +138,25 @@ def cache_key(
     oracle_position: Optional[int] = None,
 ) -> str:
     """Content address of one simulation. Stable across processes and
-    interpreter sessions for identical inputs."""
-    payload = {
-        "format": _FORMAT_VERSION,
-        "code": code_version(),
-        "workload": workload,
-        "policy": policy_label,
-        "scale": scale.name,
-        "seed": seed,
-        "trace_config": _config_digest(trace_config),
-        "run_config": _config_digest(run_config),
-        "oracle_position": oracle_position,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    interpreter sessions for identical inputs.
+
+    The inputs hash as one JSON list in a fixed order. The form is
+    injective: JSON keeps the types apart (seed ``1`` vs ``True``,
+    oracle position ``None`` vs ``0``) and quotes and escapes every
+    string, so no workload or label can run into its neighbour."""
+    canonical = json.dumps(
+        [
+            _FORMAT_VERSION,
+            code_version(),
+            workload,
+            policy_label,
+            scale.name,
+            seed,
+            _config_digest(trace_config),
+            _config_digest(run_config),
+            oracle_position,
+        ]
+    )
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
@@ -173,13 +187,50 @@ def _quarantine(path: str, reason: str) -> None:
         )
 
 
+def _header(checksum: str) -> bytes:
+    """The header line :func:`store` writes for a body with SHA-256
+    ``checksum``: its compact JSON, ``{"format":3,"checksum":"<hex>"}``
+    for format 3 (what ``json.dumps`` gives with ``(",", ":")``
+    separators)."""
+    return b'{"format":%d,"checksum":"%s"}' % (_FORMAT_VERSION, checksum.encode())
+
+
+def _header_fault(header: bytes, checksum: str) -> Optional[str]:
+    """Why ``header`` does not vouch for a body with SHA-256
+    ``checksum``, or ``None`` when it does (any JSON spelling of the
+    current format and the right checksum)."""
+    try:
+        meta = json.loads(header)
+    except ValueError as error:
+        return f"unreadable: {error}"
+    if not isinstance(meta, dict):
+        return "malformed payload"
+    if meta.get("format") != _FORMAT_VERSION:
+        return f"stale format {meta.get('format')!r}"
+    if meta.get("checksum") != checksum:
+        return "checksum mismatch"
+    return None
+
+
+@lru_cache(maxsize=1)
+def _export():
+    """:mod:`repro.analysis.export` (the result codec), imported once on
+    first use: the analysis layer imports this module, so a top-level
+    import would be circular."""
+    from ..analysis import export
+
+    return export
+
+
 def load(key: str) -> Optional[SimulationResult]:
     """Fetch a cached result; ``None`` on miss (or when disabled).
 
-    A corrupt entry — unreadable, unparseable header, stale format,
-    checksum mismatch, or undecodable result — counts as both
-    ``corrupt`` and a miss, and is moved to the quarantine directory
-    rather than deleted."""
+    A header byte-identical to the one :func:`store` writes for the
+    body's checksum is accepted without parsing it; any other header is
+    parsed and classified. A corrupt entry — unreadable, unparseable
+    header, stale format, checksum mismatch, or undecodable result —
+    counts as both ``corrupt`` and a miss, and is moved to the
+    quarantine directory rather than deleted."""
     if not enabled():
         return None
     path = _entry_path(key)
@@ -194,26 +245,15 @@ def load(key: str) -> Optional[SimulationResult]:
         stats["misses"] += 1
         return None
     header, _, body = data.partition(b"\n")
+    checksum = hashlib.sha256(body).hexdigest()
     reason = None
-    result = None
-    try:
-        meta = json.loads(header)
-    except ValueError as error:
-        reason = f"unreadable: {error}"
-    else:
-        if not isinstance(meta, dict):
-            reason = "malformed payload"
-        elif meta.get("format") != _FORMAT_VERSION:
-            reason = f"stale format {meta.get('format')!r}"
-        elif meta.get("checksum") != hashlib.sha256(body).hexdigest():
-            reason = "checksum mismatch"
-        else:
-            from ..analysis.export import result_from_dict
-
-            try:
-                result = result_from_dict(json.loads(body))
-            except (KeyError, TypeError, ValueError) as error:
-                reason = f"undecodable result: {error}"
+    if header != _header(checksum):
+        reason = _header_fault(header, checksum)
+    if reason is None:
+        try:
+            result = _export().result_from_dict(json.loads(body))
+        except (KeyError, TypeError, ValueError) as error:
+            reason = f"undecodable result: {error}"
     if reason is not None:
         _quarantine(path, reason)
         stats["misses"] += 1
@@ -228,16 +268,10 @@ def store(key: str, result: SimulationResult) -> None:
     an unwritable cache directory degrades to no caching."""
     if not enabled():
         return
-    from ..analysis.export import result_to_dict
-
     # Insertion order, not sorted keys: a warm result's dicts iterate
     # exactly as the cold one's did.
-    body = json.dumps(result_to_dict(result), separators=(",", ":")).encode()
-    header = json.dumps(
-        {"format": _FORMAT_VERSION, "checksum": hashlib.sha256(body).hexdigest()},
-        separators=(",", ":"),
-    ).encode()
-    data = header + b"\n" + body
+    body = json.dumps(_export().result_to_dict(result), separators=(",", ":")).encode()
+    data = _header(hashlib.sha256(body).hexdigest()) + b"\n" + body
     from ..testing import faults
 
     if faults.active():

@@ -7,6 +7,7 @@ fixture in conftest.py), so nothing touches the user's real cache.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import logging
 
@@ -105,7 +106,8 @@ class TestCacheKey:
         assert _key() != baseline
 
     def test_equal_configs_built_separately_share_a_key(self):
-        first, second = ndp_config(), ndp_config()
+        first = ndp_config()
+        second = dataclasses.replace(first)
         assert first is not second
         assert _key(config=first) == _key(config=second)
         assert _key(config=first, run_config=baseline_config()) == _key(
@@ -136,6 +138,102 @@ class TestCacheKey:
             assert as_float == base
             assert _key(config=as_float, run_config=base) != reference, path
             assert _key(config=base, run_config=as_float) != reference, path
+
+    def test_equal_inputs_of_different_types_key_apart(self):
+        """``1 == True`` and ``None``/``0`` are both falsy, but each pair
+        names different inputs."""
+        assert _key(seed=1) != _key(seed=True)
+        config = ndp_config()
+        keys = {
+            result_cache.cache_key(
+                "SP", "ctrl+oracle", TraceScale.TINY, 0, config, config, position
+            )
+            for position in (None, 0)
+        }
+        assert len(keys) == 2
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            (("a,b", "c"), ("a", "b,c")),
+            (('a","b', "c"), ("a", 'b","c')),
+            (("a\0b", "c"), ("a", "b\0c")),
+            (("a\\", "c"), ("a", "\\c")),
+        ],
+        ids=["comma", "quoted-comma", "nul", "backslash"],
+    )
+    def test_separator_inside_a_name_cannot_collide(self, first, second):
+        """Moving a separator between the workload and the policy label
+        changes the key: the canonical form is injective."""
+        config = ndp_config()
+
+        def key(workload, label):
+            return result_cache.cache_key(
+                workload, label, TraceScale.TINY, 0, config, config
+            )
+
+        assert key(*first) != key(*second)
+
+
+class TestSharedFactories:
+    """``ndp_config``/``baseline_config`` return one shared frozen
+    instance per argument tuple, so the digest memoized on it serves
+    every caller."""
+
+    def test_one_instance_per_argument_tuple(self):
+        assert ndp_config() is ndp_config()
+        assert baseline_config() is baseline_config()
+        assert ndp_config(cross_stack_ratio=0.25) is ndp_config(cross_stack_ratio=0.25)
+        assert ndp_config(cross_stack_ratio=0.25) is not ndp_config()
+
+    def test_int_and_float_arguments_build_separate_instances(self):
+        """Equal arguments of different types never share an instance. A
+        multiplier stored as given serializes differently, so it keys
+        apart; a ratio that only scales a float bandwidth builds the
+        same values, so it keys alike."""
+        as_int = ndp_config(warp_capacity_multiplier=1)
+        as_float = ndp_config(warp_capacity_multiplier=1.0)
+        assert as_int is not as_float
+        assert type(as_float.stacks.warp_capacity_multiplier) is float
+        assert _key(config=as_int) != _key(config=as_float)
+
+        as_int = ndp_config(cross_stack_ratio=1)
+        as_float = ndp_config(cross_stack_ratio=1.0)
+        assert as_int is not as_float
+        assert as_int.links.cross_stack_gbps == 80.0
+        assert type(as_int.links.cross_stack_gbps) is float
+        assert _key(config=as_int) == _key(config=as_float)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [baseline_config, ndp_config, lambda: ndp_config(cross_stack_ratio=0.25)],
+        ids=["baseline", "ndp", "ndp-cross-0.25"],
+    )
+    def test_replaced_copy_keys_like_the_shared_instance(self, factory):
+        shared = factory()
+        copy = dataclasses.replace(shared)
+        assert copy is not shared and copy == shared
+        assert _key(config=copy, run_config=copy) == _key(
+            config=shared, run_config=shared
+        )
+
+    def test_repeated_warm_figure8_serializes_no_config(self, monkeypatch):
+        """Once a process has keyed the suite's configs, a later warm
+        ``figure8`` reuses every digest: it serializes none."""
+        figures.figure8(scale=TraceScale.TINY, seed=0)
+        figures.figure8(scale=TraceScale.TINY, seed=0)
+        serialized = []
+        fields_of = result_cache._fields_of
+
+        def spy_fields(section):
+            serialized.append(section)
+            return fields_of(section)
+
+        monkeypatch.setattr(result_cache, "_fields_of", spy_fields)
+        hits = result_cache.stats["hits"]
+        figures.figure8(scale=TraceScale.TINY, seed=0)
+        assert result_cache.stats["hits"] - hits == 50
+        assert serialized == []
 
 
 class TestRoundTrip:
@@ -318,6 +416,87 @@ class TestDisableAndCorruption:
         assert result_cache.load(_key()) is None
 
 
+def _stored_entry(sp_bmap_result):
+    """Store ``sp_bmap_result`` under the default key; returns the key,
+    its entry path, and the entry's header line and result bytes."""
+    key = _key()
+    result_cache.store(key, sp_bmap_result)
+    path = result_cache.cache_dir() / f"{key}.json"
+    header, _, body = path.read_bytes().partition(b"\n")
+    return key, path, header, body
+
+
+class TestHeaderFastPath:
+    """``load`` accepts a header byte-identical to the one ``store``
+    writes without parsing it; every other header takes the
+    parse-and-classify path, with the same outcome as before."""
+
+    def test_store_writes_the_compact_header(self, sp_bmap_result):
+        _, _, header, body = _stored_entry(sp_bmap_result)
+        checksum = hashlib.sha256(body).hexdigest()
+        assert header == json.dumps(
+            {"format": 3, "checksum": checksum}, separators=(",", ":")
+        ).encode()
+
+    def test_valid_header_spelled_differently_still_hits(self, sp_bmap_result):
+        key, path, _, body = _stored_entry(sp_bmap_result)
+        checksum = hashlib.sha256(body).hexdigest()
+        spelled = json.dumps({"checksum": checksum, "format": 3}, indent=1)
+        path.write_bytes(spelled.replace("\n", " ").encode() + b"\n" + body)
+        before = dict(result_cache.stats)
+        assert result_cache.load(key) == sp_bmap_result
+        assert result_cache.stats["hits"] == before["hits"] + 1
+        assert result_cache.stats["misses"] == before["misses"]
+        assert result_cache.stats["corrupt"] == before["corrupt"]
+        assert path.exists()
+
+    @staticmethod
+    def _flipped_body(header, body):
+        flipped = bytearray(body)
+        flipped[len(flipped) // 2] ^= 0x01
+        return header + b"\n" + bytes(flipped), "checksum mismatch"
+
+    @staticmethod
+    def _stale_format(header, body):
+        checksum = hashlib.sha256(body).hexdigest()
+        stale = json.dumps({"format": 2, "checksum": checksum}, separators=(",", ":"))
+        return stale.encode() + b"\n" + body, "stale format 2"
+
+    @staticmethod
+    def _truncated_header(header, body):
+        truncated = header[: len(header) // 2]
+        try:
+            json.loads(truncated)
+        except ValueError as error:
+            reason = f"unreadable: {error}"
+        return truncated + b"\n" + body, reason
+
+    @staticmethod
+    def _non_dict_header(header, body):
+        checksum = hashlib.sha256(body).hexdigest()
+        return json.dumps([3, checksum]).encode() + b"\n" + body, "malformed payload"
+
+    @pytest.mark.parametrize(
+        "damage",
+        ["_flipped_body", "_stale_format", "_truncated_header", "_non_dict_header"],
+    )
+    def test_damaged_entry_is_quarantined_with_its_reason(
+        self, damage, sp_bmap_result, caplog
+    ):
+        key, path, header, body = _stored_entry(sp_bmap_result)
+        data, reason = getattr(self, damage)(header, body)
+        path.write_bytes(data)
+        before = dict(result_cache.stats)
+        with caplog.at_level(logging.WARNING, logger="repro.result_cache"):
+            assert result_cache.load(key) is None
+        assert f"quarantined corrupt entry {path.name} ({reason})" in caplog.text
+        assert result_cache.stats["corrupt"] == before["corrupt"] + 1
+        assert result_cache.stats["misses"] == before["misses"] + 1
+        assert result_cache.stats["hits"] == before["hits"]
+        assert not path.exists()
+        assert (result_cache.quarantine_dir() / path.name).read_bytes() == data
+
+
 class TestWarmSuiteRunsNothing:
     def test_warm_figure8_suite_zero_simulator_runs(self, monkeypatch):
         """Acceptance criterion: after one cold run, a warm-cache
@@ -394,6 +573,10 @@ class TestWarmSuiteRunsNothing:
         monkeypatch.setattr(dataclasses, "asdict", spy_asdict)
         monkeypatch.setattr(json, "dumps", spy_dumps)
         monkeypatch.setattr(result_cache, "load", spy_load)
+        # As in a fresh process: the shared factories build new
+        # instances, whose digests are not yet computed.
+        ndp_config.cache_clear()
+        baseline_config.cache_clear()
         hits = result_cache.stats["hits"]
         figures.figure8(scale=TraceScale.TINY, seed=0)
 
