@@ -11,9 +11,10 @@ results asserted bit-identical to the scalar reference:
   four Figure-8 points, ctrl+oracle, ideal+bmap) on one configuration,
   the shape ``execute_job`` routes through the grid driver.
 * **variant grid** — the same 7 policies crossed with 3
-  ``channel_busy_threshold`` variants (21 lanes), the
-  policies-x-variants sweep shape; cross-variant lane deduplication
-  carries the win here.
+  ``channel_busy_threshold`` variants (21 points), the
+  policies-x-variants sweep shape. The baseline is one cache key, so
+  one lane, for all three variants; cross-variant lane deduplication
+  carries the rest of the win.
 
 Each scenario prints the scalar reference wall time (fresh
 ``WorkloadRunner`` per variant, policies sequential — the pre-grid cold
@@ -89,8 +90,9 @@ def _grid(variants):
 
 
 def run_scenario(name: str, variants) -> dict:
-    lanes = len(variants) * len(POLICIES)
+    points = len(variants) * len(POLICIES)
     grid_results, grid_wall, report = _grid(variants)
+    lanes = len(report.results)
     scalar_results, scalar_wall = _scalar_reference(variants)
     for index in range(len(variants)):
         for policy in POLICIES:
@@ -102,7 +104,8 @@ def run_scenario(name: str, variants) -> dict:
     speedup = scalar_wall / grid_wall
     print(
         f"{name:>12}: scalar {scalar_wall:6.2f}s -> grid {grid_wall:6.2f}s "
-        f"({speedup:.2f}x; {lanes} lanes, {report.simulated} simulated, "
+        f"({speedup:.2f}x; {points} points, {lanes} lanes, "
+        f"{report.simulated} simulated, "
         f"{report.deduplicated} deduplicated, bit-identical)"
     )
     return {

@@ -18,7 +18,8 @@ point. This is the tracked baseline for that cost
 
 and, after a cold TINY pass has filled a private cache directory, the
 wall time of one warm ``figure8`` query (50 points) and one warm
-``section65`` query (4 cross-stack ratios, 50 points) in ms.
+``section65`` query (4 cross-stack ratios, 80 points over 50 entries:
+the baseline is one entry for all four ratios) in ms.
 
 Standalone usage::
 
@@ -105,8 +106,8 @@ def lookup_costs(calls: int = CALLS) -> Dict[str, List[float]]:
 
 def warm_queries() -> Dict[str, List[float]]:
     """Fill the cache with one cold TINY ``figure8`` and ``section65``,
-    then time warm re-queries (ms). Every warm query must hit all 50
-    points."""
+    then time warm re-queries (ms). Every warm query must hit all of
+    its 50 entries."""
     figures.figure8(scale=SCALE)
     figures.section65(scale=SCALE)
     samples = {}

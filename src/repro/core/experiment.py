@@ -27,7 +27,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..config import SystemConfig, baseline_config, ndp_config
 from ..errors import ConfigError, JobExecutionError
-from ..trace.generator import TraceScale, WorkloadTrace, build_trace
+from ..trace.generator import TraceScale, WorkloadTrace, build_trace, trace_digest
 from ..utils.stats import geometric_mean
 from ..workloads.base import PaperWorkload, make_workload
 from ..workloads.suite import SUITE_ORDER
@@ -188,126 +188,104 @@ class WorkloadRunner:
         recorder=None,
     ) -> Union[Dict[str, SimulationResult], List[Dict[str, SimulationResult]]]:
         """Run many policies — optionally across NDP-configuration
-        ``variants`` — through the grid driver
-        (:mod:`repro.core.gridrun`) over one shared trace.
+        ``variants`` that build this runner's trace — through the grid
+        driver (:mod:`repro.core.gridrun`).
 
         Returns ``{policy_label: result}`` when ``variants`` is None,
         else one such dict per variant. Every result is bit-identical
-        to running its point alone on a fresh :class:`WorkloadRunner`
-        (the scalar engine remains the reference). Per-lane caching is
-        unchanged: every lane probes the persistent cache under the
-        exact key :meth:`run` would use — before the trace is built, so
-        a fully-warm grid builds nothing — and stores its result back.
+        to running its point alone on a fresh :class:`WorkloadRunner`.
+        Points that share a result-cache key are one point: each
+        distinct key is probed once in the persistent cache — before
+        the trace is built, so a fully-warm grid builds nothing — and
+        the rest run as one :class:`~repro.core.supervisor.SuiteJob`
+        through :meth:`run_job`, the path every supervised job takes.
         A traced lane must simulate to emit its events, so an enabled
-        ``recorder`` skips deduplication and runs every point through
-        :meth:`run`. Variants whose configuration would generate a
-        different trace (compiler/message/warp/page fields) are evicted
-        to their own scalar runners.
+        ``recorder`` runs every point through :meth:`run` instead.
+        Raises :class:`~repro.errors.ConfigError` for a variant that
+        would build a different trace.
         """
         single = variants is None
-        ndp_variants = (
-            [self.ndp_configuration] if single else list(variants)
-        )
-        tracing = recorder is not None and recorder.enabled
-        results: List[Dict[str, SimulationResult]] = [
-            {} for _ in ndp_variants
-        ]
-        missing: List[Tuple[int, RunPolicy]] = []
-        for index, ndp_cfg in enumerate(ndp_variants):
-            for policy in policies:
-                label = policy.label
-                if tracing:
-                    missing.append((index, policy))
-                    continue
-                if cache and single and label in self._cache:
-                    results[index][label] = self._cache[label]
-                    continue
-                if cache and self._persistent_ok and result_cache.enabled():
-                    hit = result_cache.load(self._grid_key(policy, ndp_cfg))
-                    if hit is not None:
-                        results[index][label] = hit
-                        if single:
-                            self._cache[label] = hit
-                        continue
-                missing.append((index, policy))
-
-        scalar_runners: Dict[int, "WorkloadRunner"] = {}
-
-        def variant_runner(index: int) -> "WorkloadRunner":
-            cfg = ndp_variants[index]
-            if cfg == self.ndp_configuration:
-                return self
-            runner = scalar_runners.get(index)
-            if runner is None:
-                runner = WorkloadRunner(
-                    self.model.name if self._persistent_ok else self.model,
-                    scale=self.scale,
-                    seed=self.seed,
-                    ndp_configuration=cfg,
-                    baseline_configuration=self.baseline_configuration,
-                )
-                scalar_runners[index] = runner
-            return runner
-
-        def run_scalar(index: int, policy: RunPolicy) -> SimulationResult:
-            result = variant_runner(index).run(
-                policy, cache=cache, recorder=recorder
+        configs = [self.ndp_configuration] if single else list(variants)
+        identity = trace_digest(self.ndp_configuration)
+        if any(trace_digest(config) != identity for config in configs):
+            raise ConfigError(
+                "every variant must build the runner's trace "
+                "(equal compiler, message, warp-size and page-size fields)"
             )
-            if single and cache:
-                self._cache.setdefault(policy.label, result)
-            return result
-
-        if tracing or len(missing) < 2:
-            for index, policy in missing:
-                results[index][policy.label] = run_scalar(index, policy)
+        results: List[Dict[str, SimulationResult]] = [{} for _ in configs]
+        if recorder is not None and recorder.enabled:
+            for config, answers in zip(configs, results):
+                for policy in policies:
+                    answers[policy.label] = self.run(
+                        policy,
+                        _run_configuration(
+                            policy, config, self.baseline_configuration
+                        ),
+                        recorder=recorder,
+                    )
             return results[0] if single else results
 
-        own_fingerprint = gridrun.trace_fingerprint(self.ndp_configuration)
-        grid_lanes: List[Tuple[int, RunPolicy]] = []
-        for index, policy in missing:
-            compatible = single or (
-                gridrun.trace_fingerprint(ndp_variants[index])
-                == own_fingerprint
-            )
-            if compatible:
-                grid_lanes.append((index, policy))
-            else:  # different trace: evict the lane to its own runner
-                results[index][policy.label] = run_scalar(index, policy)
-        if grid_lanes:
-            requests = [
-                gridrun.GridRequest(
-                    policy=policy,
-                    ndp_configuration=ndp_variants[index],
-                    baseline_configuration=self.baseline_configuration,
+        remember = cache and single
+        slots: Dict[str, List[Tuple[int, str]]] = {}
+        requests: Dict[str, gridrun.GridRequest] = {}
+        for index, config in enumerate(configs):
+            for policy in policies:
+                if remember and policy.label in self._cache:
+                    results[index][policy.label] = self._cache[policy.label]
+                    continue
+                key = result_key(
+                    self.model.name,
+                    policy,
+                    self.scale,
+                    self.seed,
+                    config,
+                    self.baseline_configuration,
                 )
-                for index, policy in grid_lanes
-            ]
-            report = gridrun.run_grid(
-                self.trace, requests, trace_config=self.ndp_configuration
-            )
-            self.last_grid_report = report
-            for (index, policy), result in zip(grid_lanes, report.results):
-                label = policy.label
+                slots.setdefault(key, []).append((index, policy.label))
+                requests.setdefault(
+                    key,
+                    gridrun.GridRequest(policy, config, self.baseline_configuration),
+                )
+
+        def answer(key: str, result: SimulationResult) -> None:
+            for index, label in slots[key]:
                 results[index][label] = result
-                if cache and self._persistent_ok and result_cache.enabled():
-                    result_cache.store(
-                        self._grid_key(policy, ndp_variants[index]), result
-                    )
-                if single and cache:
-                    self._cache[label] = result
+
+        root = result_cache.active_root() if cache and self._persistent_ok else None
+        missing: List[str] = []
+        for key in slots:
+            hit = result_cache.load(key, root) if root is not None else None
+            if hit is None:
+                missing.append(key)
+            else:
+                answer(key, hit)
+        if missing:
+            job = SuiteJob(
+                workload=self.model.name,
+                scale=self.scale,
+                seed=self.seed,
+                trace_config=self.ndp_configuration,
+                points=tuple(requests[key] for key in missing),
+                keys=tuple(missing) if root is not None else (),
+            )
+            for key, result in zip(missing, self.run_job(job)):
+                answer(key, result)
+        if remember:
+            self._cache.update(results[0])
         return results[0] if single else results
 
-    def _grid_key(self, policy: RunPolicy, ndp_configuration: SystemConfig) -> str:
-        """The key :meth:`run` of a runner holding ``ndp_configuration``
-        uses for ``policy`` — what every grid lane probes and stores."""
-        return result_key(
-            self.model.name,
-            policy,
-            self.scale,
-            self.seed,
-            ndp_configuration,
-            self.baseline_configuration,
+    def run_job(self, job: SuiteJob) -> Tuple[SimulationResult, ...]:
+        """Simulate exactly ``job.points`` over this runner's trace
+        (which ``job.trace_config`` builds) through the grid driver,
+        store each result under its key in ``job.keys``, and return the
+        results in point order."""
+        report = gridrun.run_grid(
+            self.trace, job.points, trace_config=self.ndp_configuration
         )
+        self.last_grid_report = report
+        for key, result in zip(job.keys, report.results):
+            result_cache.store(key, result)
+        return tuple(report.results)
 
     def baseline(self) -> SimulationResult:
         return self.run(BASELINE)
@@ -366,85 +344,64 @@ def run_points(
     """Answer every point from the result cache or by simulating it
     under supervision — the one job planner behind :func:`run_suite`.
 
-    The persistent result cache is the only completion record: points
-    it answers simulate nothing, so re-running a partial run
-    re-simulates exactly the points that are missing. The misses are
-    grouped into one :class:`~repro.core.supervisor.SuiteJob` per
-    (workload, scale, seed, trace fingerprint) — distinct configurations
-    ride the job as variants in first-seen order, so each trace is built
-    once and lanes the variants cannot tell apart simulate once; its
-    policies follow the order they first appear in ``points``. All jobs
-    go to one :func:`~repro.core.supervisor.run_supervised` call; a
-    failing job becomes a structured failure and leaves its points
-    ``None``. Each job stores its points in the cache itself, through
-    its :class:`WorkloadRunner`. The supervisor's timeout and retries
-    come from ``REPRO_JOB_TIMEOUT``/``REPRO_MAX_RETRIES``. A
-    ``recorder`` with a ``job`` hook (e.g.
-    :class:`repro.obs.TraceRecorder`) receives one job-lifecycle event
-    per outcome.
+    Each point's result-cache key is computed once, and points that
+    share a key (the baseline of every configuration of an NDP sweep,
+    equal configurations) are one simulation: the cache directory is
+    resolved once per call, each distinct key is probed once, and its
+    answer goes to every point that shares it. The persistent result
+    cache is the only completion record, so re-running a partial run
+    re-simulates exactly the keys that are missing. Those are grouped
+    into one :class:`~repro.core.supervisor.SuiteJob` per trace
+    identity (workload, scale, seed, trace digest) carrying exactly
+    its keys' points in first-seen order, so each trace is built once
+    and each key simulated and stored once. All jobs go to one
+    :func:`~repro.core.supervisor.run_supervised` call; a failing job
+    becomes a structured failure and leaves its points ``None``. The
+    supervisor's timeout and retries come from
+    ``REPRO_JOB_TIMEOUT``/``REPRO_MAX_RETRIES``. A ``recorder`` with a
+    ``job`` hook (e.g. :class:`repro.obs.TraceRecorder`) receives one
+    job-lifecycle event per outcome.
     """
     base_config = baseline_config()
     report = PointsReport(results=[None] * len(points))
-    caching = result_cache.enabled()
-    missing: List[int] = []
+    slots: Dict[str, List[int]] = {}
     for index, point in enumerate(points):
-        if caching:
-            cached = result_cache.load(
-                result_key(
-                    point.workload,
-                    point.policy,
-                    point.scale,
-                    point.seed,
-                    point.config,
-                    base_config,
-                )
-            )
-            if cached is not None:
+        key = result_key(
+            point.workload,
+            point.policy,
+            point.scale,
+            point.seed,
+            point.config,
+            base_config,
+        )
+        slots.setdefault(key, []).append(index)
+
+    root = result_cache.active_root()
+    groups: Dict[Tuple[str, TraceScale, int, str], List[str]] = {}
+    for key, members in slots.items():
+        cached = result_cache.load(key, root) if root is not None else None
+        if cached is not None:
+            for index in members:
                 report.results[index] = cached
-                continue
-        missing.append(index)
+            continue
+        point = points[members[0]]
+        identity = (point.workload, point.scale, point.seed, trace_digest(point.config))
+        groups.setdefault(identity, []).append(key)
 
-    # One trace-sharing group per job; fingerprints memoized per config
-    # object (callers reuse one object for every point of a config). This
-    # memo lives for one call, but since ndp_config()/baseline_config()
-    # return shared instances, the cache-key digest kept on each instance
-    # (result_cache._config_digest) hits across calls, runners and figures.
-    fingerprints: Dict[int, str] = {}
-    groups: Dict[Tuple[str, TraceScale, int, str], List[int]] = {}
-    for index in missing:
-        point = points[index]
-        fingerprint = fingerprints.get(id(point.config))
-        if fingerprint is None:
-            fingerprint = gridrun.trace_fingerprint(point.config)
-            fingerprints[id(point.config)] = fingerprint
-        group = (point.workload, point.scale, point.seed, fingerprint)
-        groups.setdefault(group, []).append(index)
-
-    rank: Dict[RunPolicy, int] = {}
-    for point in points:
-        rank.setdefault(point.policy, len(rank))
-    variant_of: Dict[int, int] = {}
     pending: List[SuiteJob] = []
-    for members in groups.values():
-        variants: List[SystemConfig] = []
-        for index in members:
-            config = points[index].config
-            if config not in variants:
-                variants.append(config)
-            variant_of[index] = variants.index(config)
-        first = points[members[0]]
+    for keys in groups.values():
+        firsts = [points[slots[key][0]] for key in keys]
         pending.append(
             SuiteJob(
-                workload=first.workload,
-                policies=tuple(
-                    sorted(
-                        dict.fromkeys(points[index].policy for index in members),
-                        key=rank.__getitem__,
-                    )
+                workload=firsts[0].workload,
+                scale=firsts[0].scale,
+                seed=firsts[0].seed,
+                trace_config=firsts[0].config,
+                points=tuple(
+                    gridrun.GridRequest(point.policy, point.config, base_config)
+                    for point in firsts
                 ),
-                scale=first.scale,
-                seed=first.seed,
-                variants=tuple(variants),
+                keys=tuple(keys) if root is not None else (),
             )
         )
 
@@ -472,14 +429,14 @@ def run_points(
         on_outcome=on_outcome,
     )
     # Outcomes are submission-ordered, i.e. parallel to the groups.
-    for members, outcome in zip(groups.values(), outcomes):
+    for keys, outcome in zip(groups.values(), outcomes):
         if not outcome.ok:
             if outcome.failure is not None:
                 report.failures.append(outcome.failure)
             continue
-        for index in members:
-            result = outcome.results[variant_of[index]][points[index].policy.label]
-            report.results[index] = result
+        for key, result in zip(keys, outcome.results):
+            for index in slots[key]:
+                report.results[index] = result
     return report
 
 
@@ -504,13 +461,14 @@ def run_suite(
     The workloads x configurations x policies product goes to
     :func:`run_points`: cached results (see
     :mod:`repro.core.result_cache`) are returned without simulating;
-    the remaining work is grouped into one job per workload — so each
-    trace is built once and shared across that workload's variants and
-    policies, and lanes the variants cannot tell apart (the baseline)
-    simulate once — and dispatched across ``jobs`` worker processes
-    (default: ``REPRO_JOBS`` / CPU count; serial when 1). Serial and
-    parallel execution produce bit-identical results. Every point keeps
-    the cache key a one-variant run of its configuration would use.
+    points that share a key (the baseline of every variant) are one
+    simulation; the remaining work is grouped into one job per workload
+    — so each trace is built once and shared across that workload's
+    variants and policies — and dispatched across ``jobs`` worker
+    processes (default: ``REPRO_JOBS`` / CPU count; serial when 1).
+    Serial and parallel execution produce bit-identical results. Every
+    point keeps the cache key a one-variant run of its configuration
+    would use.
 
     Raises :class:`~repro.errors.JobExecutionError` if any job failed
     permanently (the supervisor may retry first, per
@@ -531,24 +489,19 @@ def run_suite(
         requested = list(variants)
         if not requested:
             raise ConfigError("variants must hold at least one configuration")
-    # Equal variants are one set of grid points: run each distinct
-    # configuration once and hand its results to every position.
-    configs: List[SystemConfig] = []
-    for config in requested:
-        if config not in configs:
-            configs.append(config)
+    # Equal variants key alike, so run_points simulates them once.
     run = run_points(
         [
             SuitePoint(name, scale, seed, config, policy)
             for name in names
-            for config in configs
+            for config in requested
             for policy in wanted
         ],
         jobs=jobs,
     )
     # Fold back in product order; a workload whose every point failed
     # stays absent, so callers can treat membership as "has data".
-    per_config: List[SuiteResults] = [{} for _ in configs]
+    per_config: List[SuiteResults] = [{} for _ in requested]
     answers = iter(run.results)
     for name in names:
         for results in per_config:
@@ -556,10 +509,9 @@ def run_suite(
                 result = next(answers)
                 if result is not None:
                     results.setdefault(name, {})[policy.label] = result
-    if variants is None:
-        folded: Union[SuiteResults, List[SuiteResults]] = per_config[0]
-    else:
-        folded = [per_config[configs.index(config)] for config in requested]
+    folded: Union[SuiteResults, List[SuiteResults]] = (
+        per_config[0] if variants is None else per_config
+    )
     if run.failures:
         raise JobExecutionError(run.failures, folded)
     return folded

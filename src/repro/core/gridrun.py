@@ -53,23 +53,11 @@ from ..ndp.controller import (
     CONTROL_FIELDS_OFFLOAD,
 )
 from ..testing.faults import maybe_fault
-from ..trace.generator import WorkloadTrace
+# perfbench/tracer.py reads trace_fingerprint as gridrun.trace_fingerprint.
+from ..trace.generator import WorkloadTrace, trace_digest, trace_fingerprint  # noqa: F401
 from .policies import MappingPolicy, OffloadPolicy, RunPolicy
 from .results import SimulationResult
 from .simulator import Simulator
-
-
-def trace_fingerprint(config: SystemConfig) -> str:
-    """Canonical form of every config field :func:`build_trace` reads —
-    two configs with equal fingerprints produce identical traces for the
-    same (workload, scale, seed), so their grid points can share one."""
-    payload = {
-        "compiler": dataclasses.asdict(config.compiler),
-        "messages": dataclasses.asdict(config.messages),
-        "warp_size": config.gpu.warp_size,
-        "page_bytes": config.mapping.page_bytes,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 # -- grid request / report ---------------------------------------------------
@@ -191,14 +179,13 @@ def run_grid(
     """Run every requested grid point over ``trace``, deduplicated.
 
     ``trace_config`` is the configuration the trace was built from;
-    every request's ``ndp_configuration`` must be trace-compatible with
-    it (equal :func:`trace_fingerprint` — the caller evicts incompatible
-    variants to their own scalar runners first).
+    every request's ``ndp_configuration`` must build the same trace
+    (equal :func:`~repro.trace.generator.trace_digest`).
     """
     check_simulation_allowed("gridrun.run_grid")
-    own_fingerprint = trace_fingerprint(trace_config)
+    identity = trace_digest(trace_config)
     if any(
-        trace_fingerprint(request.ndp_configuration) != own_fingerprint
+        trace_digest(request.ndp_configuration) != identity
         for request in requests
     ):
         raise ConfigError(

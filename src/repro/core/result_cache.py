@@ -11,17 +11,24 @@ Layout: one file per result under the cache directory, named by a
 SHA-256 over every input that determines the result:
 
 * workload name, trace scale, trace seed;
-* the *trace* configuration (traces are built from the NDP config even
-  for baseline runs) and the *run* configuration, each as the SHA-256 of
-  its canonical JSON (computed once per config instance and kept on it;
-  :func:`~repro.config.ndp_config` and :func:`~repro.config.baseline_config`
-  return shared frozen instances, so every caller reuses one digest);
+* the *trace identity* (:func:`~repro.trace.generator.trace_digest`):
+  the SHA-256 of :func:`~repro.trace.generator.trace_fingerprint` of
+  the configuration the trace is built from, which covers every field
+  :func:`~repro.trace.generator.build_trace` reads. NDP configs that
+  differ only in fields no trace reads (bandwidths, warp capacity,
+  control thresholds) build one trace, so the baseline point of every
+  such sweep — it runs on the baseline configuration — is one key, not
+  one per swept configuration;
+* the *run* configuration, as the SHA-256 of its canonical JSON;
 * the policy label (and oracle position, when pinned);
 * a code version: a hash over every ``.py`` source file of the
   ``repro`` package, so any code change invalidates the whole cache.
 
-These inputs hash as one JSON list in a fixed order — an injective form
-that builds and sorts no dict.
+Both configuration digests are computed once per config instance and
+kept on it (:func:`~repro.config.ndp_config` and
+:func:`~repro.config.baseline_config` return shared frozen instances,
+so every caller reuses them). The inputs hash as one JSON list in a
+fixed order — an injective form that builds and sorts no dict.
 
 Environment knobs (documented in ``docs/PERFORMANCE.md``):
 
@@ -61,7 +68,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..config import SystemConfig, env_flag, env_text
-from ..trace.generator import TraceScale
+from ..trace.generator import TraceScale, trace_digest
 from .results import SimulationResult
 
 #: Bump when the on-disk payload format changes.
@@ -89,6 +96,12 @@ def _cache_root() -> str:
 
 def cache_dir() -> Path:
     return Path(_cache_root())
+
+
+def active_root() -> Optional[str]:
+    """The cache directory, or ``None`` when the cache is off: what a
+    batch of lookups resolves once and hands to every :func:`load`."""
+    return _cache_root() if enabled() else None
 
 
 @lru_cache(maxsize=1)
@@ -138,7 +151,8 @@ def cache_key(
     oracle_position: Optional[int] = None,
 ) -> str:
     """Content address of one simulation. Stable across processes and
-    interpreter sessions for identical inputs.
+    interpreter sessions for identical inputs. Of ``trace_config`` only
+    its trace identity (``trace_digest``) enters the key.
 
     The inputs hash as one JSON list in a fixed order. The form is
     injective: JSON keeps the types apart (seed ``1`` vs ``True``,
@@ -152,7 +166,7 @@ def cache_key(
             policy_label,
             scale.name,
             seed,
-            _config_digest(trace_config),
+            trace_digest(trace_config),
             _config_digest(run_config),
             oracle_position,
         ]
@@ -160,8 +174,8 @@ def cache_key(
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def _entry_path(key: str) -> str:
-    return os.path.join(_cache_root(), key + ".json")
+def _entry_path(key: str, root: str) -> str:
+    return os.path.join(root, key + ".json")
 
 
 def quarantine_dir() -> Path:
@@ -222,8 +236,10 @@ def _export():
     return export
 
 
-def load(key: str) -> Optional[SimulationResult]:
+def load(key: str, root: Optional[str] = None) -> Optional[SimulationResult]:
     """Fetch a cached result; ``None`` on miss (or when disabled).
+    ``root`` is the :func:`active_root` a caller resolved for a batch
+    of lookups; without it, ``load`` resolves it itself.
 
     A header byte-identical to the one :func:`store` writes for the
     body's checksum is accepted without parsing it; any other header is
@@ -231,9 +247,11 @@ def load(key: str) -> Optional[SimulationResult]:
     header, stale format, checksum mismatch, or undecodable result —
     counts as both ``corrupt`` and a miss, and is moved to the
     quarantine directory rather than deleted."""
-    if not enabled():
-        return None
-    path = _entry_path(key)
+    if root is None:
+        root = active_root()
+        if root is None:
+            return None
+    path = _entry_path(key, root)
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -283,7 +301,7 @@ def store(key: str, result: SimulationResult) -> None:
         try:
             with os.fdopen(fd, "wb") as handle:
                 handle.write(data)
-            os.replace(tmp_name, _entry_path(key))
+            os.replace(tmp_name, _entry_path(key, directory))
         except BaseException:
             try:
                 os.unlink(tmp_name)

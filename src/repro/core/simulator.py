@@ -618,7 +618,8 @@ class _StackAccess:
             n_walks = len(walks)
 
         if access.is_store:
-            self.stack_sm.l1.store_all(line_ids)
+            # Only a non-ideal offload's ack reports (collects) dirty lines.
+            self.stack_sm.l1.store_all(line_ids, record_dirty=not self.ideal)
             self.lines = lines
         else:
             self.lines, _ = self.stack_sm.l1.load_misses(lines, line_ids)

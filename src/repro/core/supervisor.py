@@ -1,18 +1,19 @@
 """Suite jobs and their supervised execution.
 
 Every paper figure fans out over the workload suite as independent,
-deterministic simulations. A :class:`SuiteJob` is one ``(workload,
-scale, seed)`` combination carrying the NDP-configuration variants and
-policies still to be simulated for it (a plain suite is a one-variant
-job; a parameter sweep carries every swept configuration):
-:func:`execute_job` builds the trace once and runs the whole
-variants x policies grid against it through
-:meth:`repro.core.experiment.WorkloadRunner.run_grid`, so pool workers
-and the inline path share one code path and are bit-identical by
-construction.
+deterministic simulations. A :class:`SuiteJob` is one trace — its
+identity ``(workload, scale, seed, trace configuration)`` — plus the
+exact, distinct (configuration, policy) points still to be simulated
+on it, each with its result-cache key: :func:`execute_job` builds the
+trace once, runs exactly those points through the grid driver
+(:func:`repro.core.gridrun.run_grid`), stores each result once under
+its key and returns the results in point order. Pool workers and the
+inline path share that one code path and are bit-identical by
+construction; :meth:`repro.core.experiment.WorkloadRunner.run_grid`
+runs its own grids through it too.
 Job payloads and results are plain frozen dataclasses, so pickling is
 cheap; traces are never shipped between processes — each worker
-rebuilds its own from the ``(workload, scale, seed)`` triple.
+rebuilds its own from the job's trace identity.
 
 :func:`run_supervised` dispatches jobs across a
 :class:`concurrent.futures.ProcessPoolExecutor` (worker count from
@@ -61,13 +62,14 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
-from ..config import SystemConfig, env_text, ndp_config
+from ..config import SystemConfig, env_text
 from ..errors import ConfigError
 from ..guard import check_simulation_allowed
 from ..trace.generator import TraceScale
+from .gridrun import GridRequest
 from .policies import RunPolicy
 from .results import SimulationResult
 
@@ -77,25 +79,25 @@ DEFAULT_BACKOFF_BASE = 0.1
 DEFAULT_BACKOFF_CAP = 2.0
 
 
-#: What one job produced: ``{policy_label: result}`` per variant, in
-#: the order of :attr:`SuiteJob.variants`.
-JobResults = Tuple[Dict[str, SimulationResult], ...]
-
-
 @dataclass(frozen=True)
 class SuiteJob:
-    """One workload's pending simulations: the trace is built once in
-    the worker and shared across every (variant, policy) point of the
-    job. ``variants[0]`` is the configuration the trace is built from;
-    the others share it when their trace fingerprint matches."""
+    """One trace and the exact points to simulate on it: the trace is
+    built once, from ``trace_config``, in the worker. Every point's
+    ``ndp_configuration`` builds that same trace; ``keys`` holds each
+    point's result-cache key, or nothing when the results are not to
+    be stored."""
 
     workload: str
-    policies: Tuple[RunPolicy, ...]
     scale: TraceScale
     seed: int
-    variants: Tuple[SystemConfig, ...] = field(
-        default_factory=lambda: (ndp_config(),)
-    )
+    trace_config: SystemConfig
+    points: Tuple[GridRequest, ...]
+    keys: Tuple[str, ...] = ()
+
+    @property
+    def policies(self) -> Tuple[RunPolicy, ...]:
+        """The job's distinct policies, in point order."""
+        return tuple(dict.fromkeys(point.policy for point in self.points))
 
 
 def default_jobs() -> int:
@@ -111,26 +113,24 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def execute_job(job: SuiteJob) -> JobResults:
-    """Run one job (in a worker or inline): build the workload's trace
-    once and simulate every (variant, policy) point against it through
-    the grid driver (``WorkloadRunner.run_grid`` — bit-identical to
-    running each point alone, and itself falling back to the
-    runner's own ``run`` when fewer than two lanes miss). Results
-    land in the persistent cache from inside the worker, so even a
-    crashed parent keeps completed work."""
+def execute_job(job: SuiteJob) -> Tuple[SimulationResult, ...]:
+    """Run one job (in a worker or inline): build its trace once,
+    simulate exactly its points through the grid driver, and store each
+    result under its key. Results land in the persistent cache from
+    inside the worker, so even a crashed parent keeps completed work.
+    The worker does not probe the cache: the planner already did."""
     from .experiment import WorkloadRunner  # deferred: experiment imports us
 
     runner = WorkloadRunner(
         job.workload,
         scale=job.scale,
         seed=job.seed,
-        ndp_configuration=job.variants[0],
+        ndp_configuration=job.trace_config,
     )
-    return tuple(runner.run_grid(job.policies, variants=job.variants))
+    return runner.run_job(job)
 
 
-def _worker_entry(job: SuiteJob) -> JobResults:
+def _worker_entry(job: SuiteJob) -> Tuple[SimulationResult, ...]:
     """Top-level (picklable) worker function shared by the pool and the
     inline path. The fault-injection hook fires here so injected
     failures behave identically in both."""
@@ -211,7 +211,7 @@ class JobOutcome:
     """Terminal state of one supervised job: results or failure."""
 
     job: SuiteJob
-    results: Optional[JobResults] = None
+    results: Optional[Tuple[SimulationResult, ...]] = None
     failure: Optional[JobFailure] = None
     attempts: int = 1
     elapsed: float = 0.0

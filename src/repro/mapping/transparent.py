@@ -61,7 +61,8 @@ class TransparentDataMapping:
         self._recorder = recorder if recorder is not None else NULL_RECORDER
         self.analyzer = MemoryMapAnalyzer(config, allocation_table)
         # Target: learn_fraction of all instances, floored at
-        # min_learn_instances — but capped at ~1.5% of the trace so that
+        # min_learn_instances — but capped at 1/512 (about 0.2%) of the
+        # trace's instances, never below that floor, so that
         # the deliberately small traces used here (thousands of
         # instances, not the paper's millions) do not spend a distorted
         # share of their run in the PCI-E-bound learning phase.

@@ -157,18 +157,18 @@ class Cache:
         self.stats.store_misses += misses
         return flags
 
-    def store_all(self, line_ids: Sequence[int]) -> None:
+    def store_all(self, line_ids: Sequence[int], record_dirty: bool = False) -> None:
         """:meth:`store_batch` without materializing the hit-flag list —
         the simulator's write-through store path discards the flags.
-        State and stats updates are identical to :meth:`store_batch`."""
+        LRU and stats updates are identical to :meth:`store_batch`; the
+        lines join the dirty set only with ``record_dirty``, which only
+        the caches whose dirty lines get collected need."""
         sets = self._sets
         set_mask = self._set_mask
-        dirty = self._dirty_since_collect
         hits = 0
         misses = 0
         for line_id in line_ids:
             cache_set = sets[line_id & set_mask]
-            dirty.add(line_id)
             if line_id in cache_set:
                 cache_set.move_to_end(line_id)
                 hits += 1
@@ -176,6 +176,8 @@ class Cache:
                 misses += 1
         self.stats.store_hits += hits
         self.stats.store_misses += misses
+        if record_dirty:
+            self._dirty_since_collect.update(line_ids)
 
     def contains(self, line_id: int) -> bool:
         return line_id in self._set_of(line_id)

@@ -14,7 +14,10 @@ Everything is deterministic under (workload, config, scale, seed).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
+import hashlib
+import json
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -187,6 +190,31 @@ def build_trace(
         measured_coalescing=coalescer.average_ratio,
         line_bytes=coalescer.line_bytes,
     )
+
+
+def trace_fingerprint(config: SystemConfig) -> str:
+    """Canonical form of every config field :func:`build_trace` reads:
+    two configs with equal fingerprints produce identical traces for
+    the same (workload, scale, seed), so their points can share one
+    trace and one result-cache trace identity."""
+    payload = {
+        "compiler": dataclasses.asdict(config.compiler),
+        "messages": dataclasses.asdict(config.messages),
+        "warp_size": config.gpu.warp_size,
+        "page_bytes": config.mapping.page_bytes,
+    }
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def trace_digest(config: SystemConfig) -> str:
+    """SHA-256 of :func:`trace_fingerprint`: the identity of the trace
+    built from ``config``, computed once per config instance and kept
+    on the (frozen) instance, like the result cache's config digest."""
+    digest = config.__dict__.get("_trace_digest")
+    if digest is None:
+        digest = hashlib.sha256(trace_fingerprint(config).encode()).hexdigest()
+        object.__setattr__(config, "_trace_digest", digest)
+    return digest
 
 
 def _guard_pages(model: TraceModel, config: SystemConfig) -> int:

@@ -21,9 +21,26 @@ from repro import (
     build_trace,
     ndp_config,
 )
+from repro.core.gridrun import GridRequest
+from repro.core.supervisor import SuiteJob
 from repro.isa import KernelBuilder
 from repro.trace.generator import TraceModel
 from repro.trace.patterns import LinearPattern, RandomPattern
+
+
+def suite_job(workload, policies, config=None, keys=()):
+    """A TINY seed-0 :class:`SuiteJob` running ``policies`` on the trace
+    of ``workload`` built from ``config`` (default: the paper's NDP
+    configuration)."""
+    config = config or ndp_config()
+    return SuiteJob(
+        workload,
+        TraceScale.TINY,
+        0,
+        config,
+        tuple(GridRequest(policy, config, baseline_config()) for policy in policies),
+        keys,
+    )
 
 
 class MiniWorkload(TraceModel):

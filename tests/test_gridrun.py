@@ -7,7 +7,8 @@ its own ``WorkloadRunner`` — the scalar ``Simulator`` stays the
 reference implementation. Since no run writes the trace, every lane
 also equals its point run alone on a fresh runner, and a policy's
 result does not depend on what ran on the runner before it. Faulted
-lanes evict to scalar replay without touching the rest of the grid.
+lanes evict to scalar replay without touching the rest of the grid. A
+supervised job runs exactly its points through the same driver.
 
 The suite-level sweep (``run_suite(..., variants=...)``: one job per
 workload carrying every configuration) must answer exactly what
@@ -39,9 +40,11 @@ from repro.core.policies import (
     NDP_CTRL_TMAP,
 )
 from repro.core.simulator import Simulator
-from repro.core.supervisor import SuiteJob, execute_job
+from repro.core.supervisor import execute_job
+from repro.errors import ConfigError
 from repro.guard import deny_simulation
 from repro.workloads.suite import SUITE_ORDER
+from tests.conftest import suite_job
 
 GRID_POLICIES = (BASELINE,) + FIGURE8_GRID + (NDP_CTRL_ORACLE, IDEAL_NDP)
 
@@ -197,41 +200,40 @@ class TestRunOrder:
 
 class TestEngagement:
     def test_execute_job_routes_multi_policy_jobs_to_grid(self, monkeypatch):
-        calls = []
-        original = WorkloadRunner.run_grid
-
-        def spy(self, policies, **kwargs):
-            calls.append(tuple(p.label for p in policies))
-            return original(self, policies, **kwargs)
-
-        monkeypatch.setattr(WorkloadRunner, "run_grid", spy)
-        job = SuiteJob(
-            workload="SP",
-            policies=(BASELINE, FIGURE8_GRID[0]),
-            scale=TraceScale.TINY,
-            seed=0,
-        )
-        (results,) = execute_job(job)
-        assert calls == [(BASELINE.label, FIGURE8_GRID[0].label)]
-        assert set(results) == {BASELINE.label, FIGURE8_GRID[0].label}
-
-    def test_execute_job_single_policy_stays_scalar(self, monkeypatch):
-        """Every job goes through ``run_grid``; with a single lane to
-        run, its fallback keeps the job on the scalar engine."""
         from repro.core import gridrun
 
-        def boom(*args, **kwargs):
-            raise AssertionError("single-lane jobs must not use the grid driver")
+        calls = []
+        original = gridrun.run_grid
 
-        monkeypatch.setattr(gridrun, "run_grid", boom)
-        job = SuiteJob(
-            workload="SP",
-            policies=(BASELINE,),
-            scale=TraceScale.TINY,
-            seed=0,
-        )
-        (results,) = execute_job(job)
-        assert set(results) == {BASELINE.label}
+        def spy(trace, requests, **kwargs):
+            calls.append(tuple(request.policy.label for request in requests))
+            return original(trace, requests, **kwargs)
+
+        monkeypatch.setattr(gridrun, "run_grid", spy)
+        results = execute_job(suite_job("SP", (BASELINE, FIGURE8_GRID[0])))
+        assert calls == [(BASELINE.label, FIGURE8_GRID[0].label)]
+        assert [r.policy_label for r in results] == [
+            BASELINE.label,
+            FIGURE8_GRID[0].label,
+        ]
+
+    def test_execute_job_runs_exactly_its_points(self, monkeypatch):
+        """A job simulates exactly its points, stores each once under
+        its key, and probes the cache not at all."""
+        from repro.core import result_cache
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a job must not probe the cache")
+
+        monkeypatch.setattr(result_cache, "load", boom)
+        result_cache.reset_stats()
+        simulated = _count_simulations(monkeypatch)
+        job = suite_job("SP", (BASELINE,), keys=("k-baseline",))
+        (result,) = execute_job(job)
+        assert result.policy_label == BASELINE.label
+        assert len(simulated) == 1
+        assert result_cache.stats["stores"] == 1
+        assert (result_cache.cache_dir() / "k-baseline.json").exists()
 
     def test_warm_grid_builds_no_trace(self, monkeypatch):
         """Every lane probes the persistent cache before the trace is
@@ -250,12 +252,9 @@ class TestEngagement:
         )
         assert warm == cold
 
-    def test_trace_incompatible_variant_evicts_to_own_runner(
-        self, monkeypatch
-    ):
+    def test_trace_incompatible_variant_is_rejected(self, monkeypatch):
         """A variant that would generate a different trace (here: a
-        different page size) cannot share the grid's trace and runs on
-        its own scalar runner — still producing its reference result."""
+        different page size) cannot share the runner's trace."""
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         base = ndp_config()
         other = dataclasses.replace(
@@ -264,16 +263,20 @@ class TestEngagement:
                 base.mapping, page_bytes=base.mapping.page_bytes * 2
             ),
         )
-        policies = (BASELINE, FIGURE8_GRID[0], FIGURE8_GRID[2])
-        expected = [
-            _scalar_reference("SP", TraceScale.TINY, 0, policies, cfg)
-            for cfg in (base, other)
-        ]
         runner = WorkloadRunner("SP", scale=TraceScale.TINY)
-        got = runner.run_grid(policies, variants=[base, other])
-        for index in range(2):
-            for policy in policies:
-                assert got[index][policy.label] == expected[index][policy.label]
+        with pytest.raises(ConfigError):
+            runner.run_grid((BASELINE, FIGURE8_GRID[0]), variants=[base, other])
+
+    def test_variant_baselines_share_one_lane(self, monkeypatch):
+        """The baseline of every variant is one key, so a variant grid
+        simulates it once and gridrun never sees the copies."""
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        variants = _cross_stack_variants((0.25, 1.0))
+        runner = WorkloadRunner("SP", scale=TraceScale.TINY)
+        got = runner.run_grid((BASELINE, NDP_CTRL_TMAP), variants=variants)
+        report = runner.last_grid_report
+        assert len(report.results) == 3 and report.deduplicated == 0
+        assert got[0][BASELINE.label] is got[1][BASELINE.label]
 
 
 def _cross_stack_variants(ratios):

@@ -17,9 +17,10 @@ from repro.core.policies import (
     NDP_NOCTRL_BMAP,
 )
 from repro.core.simulator import Simulator
-from repro.core.supervisor import SuiteJob, default_jobs, execute_job, run_supervised
+from repro.core.supervisor import default_jobs, execute_job, run_supervised
 from repro.errors import ConfigError
 from repro.trace.generator import TraceScale
+from tests.conftest import suite_job
 
 POLICIES = (NDP_CTRL_BMAP, NDP_CTRL_TMAP, NDP_NOCTRL_BMAP)
 WORKLOADS = ["SP", "RD"]
@@ -77,40 +78,30 @@ class TestSerialParallelEquality:
         """One job simulates all of a workload's policies against the
         same trace: warp_instructions agree across policies (the
         speedup_over() precondition)."""
-        (outcome,) = run_supervised(
-            [SuiteJob("SP", POLICIES, TraceScale.TINY, 0)], n_jobs=1
-        )
-        (results,) = outcome.results
-        counts = {r.warp_instructions for r in results.values()}
+        (outcome,) = run_supervised([suite_job("SP", POLICIES)], n_jobs=1)
+        counts = {r.warp_instructions for r in outcome.results}
         assert len(counts) == 1
 
 
 class TestFallbacks:
     def test_single_job_runs_inline(self, no_persistent_cache):
-        job = SuiteJob("SP", (NDP_CTRL_BMAP,), TraceScale.TINY, 0)
+        job = suite_job("SP", (NDP_CTRL_BMAP,))
         (outcome,) = run_supervised([job], n_jobs=4)  # 1 job -> no pool
         assert outcome.ran_inline
-        assert outcome.results[0][NDP_CTRL_BMAP.label].cycles > 0
+        assert outcome.results[0].cycles > 0
 
     def test_unpicklable_job_falls_back_to_serial(self, no_persistent_cache):
         class LocalConfig(SystemConfig):
             """Defined inside the test: unpicklable by reference."""
 
-        job = SuiteJob(
-            "SP",
-            (NDP_CTRL_BMAP,),
-            TraceScale.TINY,
-            0,
-            variants=(LocalConfig(),),
-        )
+        job = suite_job("SP", (NDP_CTRL_BMAP,), LocalConfig())
         outcomes = run_supervised([job, job], n_jobs=2)
         assert [o.ok and o.ran_inline for o in outcomes] == [True, True]
         assert outcomes[0].results == outcomes[1].results
 
     def test_execute_job_runs_every_policy(self, no_persistent_cache):
-        job = SuiteJob("SP", POLICIES, TraceScale.TINY, 0)
-        (results,) = execute_job(job)
-        assert set(results) == {p.label for p in POLICIES}
+        results = execute_job(suite_job("SP", POLICIES))
+        assert [r.policy_label for r in results] == [p.label for p in POLICIES]
 
 
 class TestEngineDeterminism:

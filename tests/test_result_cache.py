@@ -13,7 +13,7 @@ import logging
 
 import pytest
 
-from repro import TraceScale, WorkloadRunner, baseline_config, ndp_config
+from repro import TraceScale, WorkloadRunner, baseline_config, make_workload, ndp_config
 from repro.analysis import figures
 from repro.analysis.export import result_from_dict, result_to_dict
 from repro.analysis.figures import run_figure8_suite
@@ -21,6 +21,8 @@ from repro.config import SystemConfig
 from repro.core import result_cache
 from repro.core.policies import NDP_CTRL_BMAP
 from repro.core.simulator import Simulator
+from repro.trace.generator import build_trace, trace_fingerprint
+from repro.workloads.suite import SUITE_ORDER
 
 
 @pytest.fixture(autouse=True)
@@ -88,6 +90,33 @@ def _changed(value):
     return value * 2 + 0.5
 
 
+#: The configuration that ``build_trace`` reads, as leaf-path prefixes:
+#: what ``trace_fingerprint`` covers.
+_TRACE_FIELDS = (("compiler",), ("messages",), ("gpu", "warp_size"), ("mapping", "page_bytes"))
+
+
+def _builds_the_trace(path):
+    return any(path[: len(prefix)] == prefix for prefix in _TRACE_FIELDS)
+
+
+class _ReadRecorder:
+    """Stands in for a configuration (or one of its sections) and
+    records the path of every leaf read through it."""
+
+    def __init__(self, target, reads, path=()):
+        self._target = target
+        self._reads = reads
+        self._path = path
+
+    def __getattr__(self, name):
+        value = getattr(self._target, name)
+        path = self._path + (name,)
+        if dataclasses.is_dataclass(value):
+            return _ReadRecorder(value, self._reads, path)
+        self._reads.add(path)
+        return value
+
+
 class TestCacheKey:
     def test_stable_across_calls(self):
         assert _key() == _key()
@@ -115,7 +144,8 @@ class TestCacheKey:
         )
 
     def test_every_leaf_field_is_in_the_key(self):
-        """Changing any one leaf of the trace or the run configuration
+        """Changing any one leaf of the run configuration, or any leaf
+        of the trace configuration that the trace is built from,
         changes the key."""
         base = ndp_config()
         reference = _key(config=base)
@@ -123,8 +153,42 @@ class TestCacheKey:
         assert len(paths) > 50
         for path in paths:
             changed = _with_leaf(base, path, _changed(_leaf(base, path)))
-            assert _key(config=changed, run_config=base) != reference, path
+            if _builds_the_trace(path):
+                assert _key(config=changed, run_config=base) != reference, path
             assert _key(config=base, run_config=changed) != reference, path
+
+    def test_leaf_outside_the_trace_identity_keeps_the_key(self):
+        """A baseline point runs on the baseline configuration over the
+        trace its NDP configuration builds, so an NDP leaf no trace
+        reads (a bandwidth, a threshold) leaves its key unchanged."""
+        base = ndp_config()
+        reference = _key(config=base, run_config=baseline_config())
+        outside = [p for p in _leaf_paths(base) if not _builds_the_trace(p)]
+        assert len(outside) > 30
+        for path in outside:
+            changed = _with_leaf(base, path, _changed(_leaf(base, path)))
+            key = _key(config=changed, run_config=baseline_config())
+            assert key == reference, path
+
+    def test_build_trace_reads_only_fingerprinted_fields(self):
+        """The key holds only the trace identity of its trace config, so
+        ``build_trace`` must read nothing else: every config leaf it
+        reads, for every suite workload, is one the fingerprint covers."""
+        reads = set()
+        config = ndp_config()
+        for workload in SUITE_ORDER:
+            proxied = build_trace(
+                make_workload(workload), _ReadRecorder(config, reads), TraceScale.TINY
+            )
+        # The proxy stands in faithfully: the last trace is the real one.
+        assert proxied.tasks == build_trace(
+            make_workload(workload), config, TraceScale.TINY
+        ).tasks
+        assert reads and all(_builds_the_trace(path) for path in reads), reads
+        # ... and the fingerprint covers every one of those fields.
+        for path in filter(_builds_the_trace, _leaf_paths(config)):
+            changed = _with_leaf(config, path, _changed(_leaf(config, path)))
+            assert trace_fingerprint(changed) != trace_fingerprint(config), path
 
     def test_int_swapped_for_equal_float_changes_the_key(self):
         """The per-instance digest is not a by-value memo: ``1 == 1.0``
@@ -132,11 +196,12 @@ class TestCacheKey:
         base = ndp_config()
         reference = _key(config=base)
         int_paths = [p for p in _leaf_paths(base) if type(_leaf(base, p)) is int]
-        assert int_paths
+        assert any(_builds_the_trace(p) for p in int_paths)
         for path in int_paths:
             as_float = _with_leaf(base, path, float(_leaf(base, path)))
             assert as_float == base
-            assert _key(config=as_float, run_config=base) != reference, path
+            if _builds_the_trace(path):
+                assert _key(config=as_float, run_config=base) != reference, path
             assert _key(config=base, run_config=as_float) != reference, path
 
     def test_equal_inputs_of_different_types_key_apart(self):
@@ -562,10 +627,10 @@ class TestWarmSuiteRunsNothing:
 
         load = result_cache.load
 
-        def spy_load(key):
+        def spy_load(key, *args):
             in_load.append(key)
             try:
-                return load(key)
+                return load(key, *args)
             finally:
                 in_load.pop()
 

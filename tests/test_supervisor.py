@@ -30,6 +30,7 @@ from repro.core.supervisor import (
 )
 from repro.errors import ConfigError, JobExecutionError
 from repro.trace.generator import TraceScale
+from tests.conftest import suite_job
 
 POLICIES = (NDP_CTRL_BMAP,)
 
@@ -45,8 +46,8 @@ def _no_ambient_faults(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS_STATE", raising=False)
 
 
-def _job(workload: str, **kwargs) -> SuiteJob:
-    return SuiteJob(workload, POLICIES, TraceScale.TINY, 0, **kwargs)
+def _job(workload: str, config=None) -> SuiteJob:
+    return suite_job(workload, POLICIES, config)
 
 
 @pytest.fixture
@@ -137,7 +138,7 @@ class TestHealthyRuns:
         class LocalConfig(SystemConfig):
             """Defined in the test body: unpicklable by reference."""
 
-        hostile = _job("SP", variants=(LocalConfig(),))
+        hostile = _job("SP", LocalConfig())
         friendly = _job("RD")
         outcomes = run_supervised([hostile, friendly], n_jobs=2)
         by_name = {o.job.workload: o for o in outcomes}
@@ -357,6 +358,11 @@ class TestCacheResume:
 SWEEP = (ndp_config(cross_stack_ratio=0.25), ndp_config(cross_stack_ratio=1.0))
 
 
+def _points(job):
+    """A job's (configuration, policy) points."""
+    return [(point.ndp_configuration, point.policy) for point in job.points]
+
+
 def _sweep(variants=SWEEP, **kwargs):
     return run_suite(
         (NDP_CTRL_TMAP,),
@@ -412,14 +418,19 @@ class TestVariantSweeps:
         extra = ndp_config(cross_stack_ratio=0.5)
         dispatched.clear()
         _sweep(variants=(SWEEP[0], extra))
-        assert [job.variants for job in dispatched] == [(extra,)] * 3
+        # The baseline is one key for every variant, so it stays cached.
+        assert [_points(job) for job in dispatched] == [
+            [(extra, NDP_CTRL_TMAP)]
+        ] * 3
 
     def test_equal_variants_run_once(self, no_persistent_cache, dispatched):
         """Equal variants are one set of points: each workload's job
         carries the configuration once, and every position gets its
         results."""
         first, second = _sweep(variants=(SWEEP[0], SWEEP[0]))
-        assert [job.variants for job in dispatched] == [(SWEEP[0],)] * 3
+        assert [_points(job) for job in dispatched] == [
+            [(SWEEP[0], BASELINE), (SWEEP[0], NDP_CTRL_TMAP)]
+        ] * 3
         assert first == second and set(first) == {"SP", "RD", "BP"}
 
     def test_variants_and_ndp_configuration_are_exclusive(self):
@@ -454,3 +465,49 @@ class TestJobEvents:
         for event in recorder.jobs:
             round_tripped = event_from_dict(event.to_dict())
             assert round_tripped == event
+
+
+class TestPlannerCounts:
+    """Every distinct simulation is one key, probed once, simulated
+    once and stored once: the serial TINY counts of the figure drivers.
+    Figure 8 is 50 distinct points; §6.5 is 80 points (4 ratios x 10
+    workloads x baseline and ctrl+tmap) over 50 keys, because the
+    baseline is one key for all four ratios."""
+
+    @pytest.fixture(autouse=True)
+    def _serial_counts(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        result_cache.reset_stats()
+        simulator.stats["runs"] = 0
+
+    @staticmethod
+    def _delta(query):
+        """``(simulations, hits, misses, stores)`` that ``query`` made."""
+        before = (simulator.stats["runs"], *_cache_counts())
+        query()
+        after = (simulator.stats["runs"], *_cache_counts())
+        return tuple(b - a for a, b in zip(before, after))
+
+    def test_cold_figure8_then_section65(self):
+        from repro.analysis import figures
+
+        assert self._delta(lambda: figures.figure8(scale=TraceScale.TINY)) == (
+            50, 0, 50, 50,
+        )
+        # Figure 8 already holds every baseline and the 1.0x ctrl+tmap.
+        assert self._delta(lambda: figures.section65(scale=TraceScale.TINY)) == (
+            30, 20, 30, 30,
+        )
+
+    def test_cold_then_warm_section65(self):
+        from repro.analysis import figures
+
+        cold = self._delta(lambda: figures.section65(scale=TraceScale.TINY))
+        assert cold == (50, 0, 50, 50)
+        warm = self._delta(lambda: figures.section65(scale=TraceScale.TINY))
+        assert warm == (0, 50, 0, 0)
+
+
+def _cache_counts():
+    stats = result_cache.stats
+    return stats["hits"], stats["misses"], stats["stores"]
