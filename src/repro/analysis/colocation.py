@@ -75,10 +75,3 @@ def study_colocation(
         by_fraction=by_fraction,
         learned_positions=positions,
     )
-
-
-def best_oracle_position(trace: WorkloadTrace, config: SystemConfig) -> int:
-    """Oracle: sweep every consecutive-bit position over the full trace
-    and return the one with the highest co-location (Figure 3's 'best
-    two consecutive address bits')."""
-    return learn_offline(config, trace.tasks, 1.0).position

@@ -23,8 +23,9 @@ def result_to_dict(result: SimulationResult) -> Dict:
     """A flat, JSON-safe view of one simulation run.
 
     Lossless: :func:`result_from_dict` reconstructs an identical
-    :class:`SimulationResult` (this is what the persistent result cache
-    stores on disk).
+    :class:`SimulationResult`. Derived values (ipc, totals, rates) are
+    included for readers; the persistent result cache stores the
+    shorter :meth:`SimulationResult.to_row` instead.
     """
     return {
         "workload": result.workload,
@@ -73,8 +74,7 @@ def result_to_dict(result: SimulationResult) -> Dict:
 def result_from_dict(payload: Dict) -> SimulationResult:
     """Inverse of :func:`result_to_dict`.
 
-    Raises ``KeyError``/``TypeError`` on malformed payloads; the result
-    cache treats those as misses.
+    Raises ``KeyError``/``TypeError`` on malformed payloads.
     """
     traffic = payload["traffic"]
     energy = payload["energy_j"]

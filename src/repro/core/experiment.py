@@ -344,11 +344,11 @@ def run_points(
     """Answer every point from the result cache or by simulating it
     under supervision — the one job planner behind :func:`run_suite`.
 
-    Each point's result-cache key is computed once, and points that
-    share a key (the baseline of every configuration of an NDP sweep,
-    equal configurations) are one simulation: the cache directory is
-    resolved once per call, each distinct key is probed once, and its
-    answer goes to every point that shares it. The persistent result
+    Each distinct point's result-cache key is computed once, and points
+    that share a key (the baseline of every configuration of an NDP
+    sweep, equal configurations) are one simulation: the cache
+    directory is resolved once per call, each distinct key is probed
+    once, and its answer goes to every point that shares it. The persistent result
     cache is the only completion record, so re-running a partial run
     re-simulates exactly the keys that are missing. Those are grouped
     into one :class:`~repro.core.supervisor.SuiteJob` per trace
@@ -365,15 +365,31 @@ def run_points(
     base_config = baseline_config()
     report = PointsReport(results=[None] * len(points))
     slots: Dict[str, List[int]] = {}
+    # One key per distinct (workload, policy, scale, seed, run config,
+    # trace identity), so an NDP sweep's baseline is keyed once. Run
+    # configs are told apart by identity; the points keep them alive.
+    keys: Dict[tuple, str] = {}
     for index, point in enumerate(points):
-        key = result_key(
+        run_config = _run_configuration(point.policy, point.config, base_config)
+        inputs = (
             point.workload,
-            point.policy,
+            point.policy.label,
             point.scale,
             point.seed,
-            point.config,
-            base_config,
+            id(run_config),
+            trace_digest(point.config),
         )
+        key = keys.get(inputs)
+        if key is None:
+            key = keys[inputs] = result_key(
+                point.workload,
+                point.policy,
+                point.scale,
+                point.seed,
+                point.config,
+                base_config,
+                run_config,
+            )
         slots.setdefault(key, []).append(index)
 
     root = result_cache.active_root()

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..errors import ConfigError
 
@@ -49,8 +50,11 @@ class RunPolicy:
                 "GPU runs bmap"
             )
 
-    @property
+    @cached_property
     def label(self) -> str:
+        """The policy's external name, formatted once per instance (kept
+        in the instance dict; equality, hashing and repr see only the
+        two fields)."""
         if self.offload is OffloadPolicy.NONE:
             return "baseline"
         return f"{self.offload.value}+{self.mapping.value}"

@@ -37,22 +37,20 @@ Environment knobs (documented in ``docs/PERFORMANCE.md``):
 ``REPRO_NO_CACHE=1``
     Disable the cache entirely (every run simulates).
 
-Results are stored via the lossless JSON serialization in
-:mod:`repro.analysis.export` (imported on first use to keep the core
-layer import-free of the analysis layer).
-
-Entry format v3: a header line ``{"format":3,"checksum":"<sha256>"}``,
-then the result's compact JSON. The checksum covers exactly those
-result bytes, so a hit is one read, one hash, one byte comparison of
-the header against the one :func:`store` writes, and one parse. A
-header that is not byte-identical is parsed and checked field by field
-instead, so a valid header spelled differently still hits. Entries
-that fail any check — unreadable, unparseable header, stale format,
-checksum mismatch, undecodable result — count in ``stats["corrupt"]``,
-log a one-line warning, and are *quarantined* (moved to
-``<cache>/quarantine/``, not deleted) so a corruption bug can be
-diagnosed from the evidence; the load then behaves as a miss and the
-entry is rewritten. See ``docs/ROBUSTNESS.md``.
+Entry format v4: a header line ``{"format":4,"checksum":"<sha256>"}``,
+then the result as one compact JSON array in a fixed field order
+(:meth:`~repro.core.results.SimulationResult.to_row`: the stored fields
+only, no derived ipc/totals/rates). The checksum covers exactly those
+row bytes, so a hit is one read, one hash, one byte comparison of the
+header against the one :func:`store` writes, one parse and one decode.
+A header that is not byte-identical is parsed and checked field by
+field instead, so a valid header spelled differently still hits.
+Entries that fail any check — unreadable, unparseable header, stale
+format, checksum mismatch, undecodable result — count in
+``stats["corrupt"]``, log a one-line warning, and are *quarantined*
+(moved to ``<cache>/quarantine/``, not deleted) so a corruption bug
+can be diagnosed from the evidence; the load then behaves as a miss
+and the entry is rewritten. See ``docs/ROBUSTNESS.md``.
 """
 
 from __future__ import annotations
@@ -74,7 +72,12 @@ from .results import SimulationResult
 #: Bump when the on-disk payload format changes.
 #: v2: payload checksum added (integrity verification + quarantine).
 #: v3: header line + result bytes; the checksum covers the stored bytes.
-_FORMAT_VERSION = 3
+#: v4: the result bytes are :meth:`SimulationResult.to_row`'s array,
+#: whose field order is part of the format.
+_FORMAT_VERSION = 4
+
+#: Bytes asked of each ``os.read`` of an entry (entries are about 300 bytes).
+_READ_SIZE = 4096
 
 #: Process-local counters, mainly for tests and diagnostics.
 stats = {"hits": 0, "misses": 0, "stores": 0, "corrupt": 0}
@@ -175,7 +178,7 @@ def cache_key(
 
 
 def _entry_path(key: str, root: str) -> str:
-    return os.path.join(root, key + ".json")
+    return root + os.sep + key + ".json"
 
 
 def quarantine_dir() -> Path:
@@ -203,8 +206,8 @@ def _quarantine(path: str, reason: str) -> None:
 
 def _header(checksum: str) -> bytes:
     """The header line :func:`store` writes for a body with SHA-256
-    ``checksum``: its compact JSON, ``{"format":3,"checksum":"<hex>"}``
-    for format 3 (what ``json.dumps`` gives with ``(",", ":")``
+    ``checksum``: its compact JSON, ``{"format":4,"checksum":"<hex>"}``
+    for format 4 (what ``json.dumps`` gives with ``(",", ":")``
     separators)."""
     return b'{"format":%d,"checksum":"%s"}' % (_FORMAT_VERSION, checksum.encode())
 
@@ -226,16 +229,6 @@ def _header_fault(header: bytes, checksum: str) -> Optional[str]:
     return None
 
 
-@lru_cache(maxsize=1)
-def _export():
-    """:mod:`repro.analysis.export` (the result codec), imported once on
-    first use: the analysis layer imports this module, so a top-level
-    import would be circular."""
-    from ..analysis import export
-
-    return export
-
-
 def load(key: str, root: Optional[str] = None) -> Optional[SimulationResult]:
     """Fetch a cached result; ``None`` on miss (or when disabled).
     ``root`` is the :func:`active_root` a caller resolved for a batch
@@ -253,8 +246,13 @@ def load(key: str, root: Optional[str] = None) -> Optional[SimulationResult]:
             return None
     path = _entry_path(key, root)
     try:
-        with open(path, "rb") as handle:
-            data = handle.read()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            data = os.read(fd, _READ_SIZE)
+            while chunk := os.read(fd, _READ_SIZE):
+                data += chunk
+        finally:
+            os.close(fd)
     except FileNotFoundError:
         stats["misses"] += 1
         return None
@@ -269,8 +267,10 @@ def load(key: str, root: Optional[str] = None) -> Optional[SimulationResult]:
         reason = _header_fault(header, checksum)
     if reason is None:
         try:
-            result = _export().result_from_dict(json.loads(body))
-        except (KeyError, TypeError, ValueError) as error:
+            # ``store`` writes ASCII: decoding here skips ``json.loads``'
+            # encoding detection.
+            result = SimulationResult.from_row(json.loads(body.decode()))
+        except ValueError as error:
             reason = f"undecodable result: {error}"
     if reason is not None:
         _quarantine(path, reason)
@@ -288,7 +288,7 @@ def store(key: str, result: SimulationResult) -> None:
         return
     # Insertion order, not sorted keys: a warm result's dicts iterate
     # exactly as the cold one's did.
-    body = json.dumps(_export().result_to_dict(result), separators=(",", ":")).encode()
+    body = json.dumps(result.to_row(), separators=(",", ":")).encode()
     data = _header(hashlib.sha256(body).hexdigest()) + b"\n" + body
     from ..testing import faults
 

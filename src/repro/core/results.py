@@ -41,6 +41,10 @@ class OffloadSummary:
         return self.offloaded_warp_instructions / self.total_warp_instructions
 
 
+#: Fields in :meth:`SimulationResult.to_row`.
+_ROW_LENGTH = 24
+
+
 @dataclass(frozen=True)
 class SimulationResult:
     """Everything measured in one run."""
@@ -91,6 +95,45 @@ class SimulationResult:
         if base <= 0:
             raise AnalysisError("baseline run consumed no energy")
         return self.energy.total_j / base
+
+    def to_row(self) -> list:
+        """The stored fields as one flat list, each breakdown's fields
+        inlined in field order: the result cache's entry body. The
+        order is the cache's schema, so changing it means bumping the
+        cache's format version. Derived values (ipc, totals, rates) are
+        not stored."""
+        traffic, energy, offload = self.traffic, self.energy, self.offload
+        return [
+            self.workload, self.policy_label, self.cycles,
+            self.warp_instructions, self.warp_size,
+            traffic.gpu_memory_rx, traffic.gpu_memory_tx,
+            traffic.memory_memory, traffic.pcie,
+            energy.sm_j, energy.links_j, energy.dram_j,
+            offload.candidates_considered, offload.candidates_offloaded,
+            offload.decision_breakdown, offload.offloaded_warp_instructions,
+            offload.total_warp_instructions, offload.dirty_lines_reported,
+            self.learned_bit_position, self.learned_colocation,
+            self.l1_load_miss_rate, self.l2_load_miss_rate,
+            self.dram_row_hit_rate, self.extra,
+        ]
+
+    @classmethod
+    def from_row(cls, row: list) -> "SimulationResult":
+        """Inverse of :meth:`to_row` for a row parsed from JSON; the
+        result owns the row's dicts. Raises ``ValueError`` unless
+        ``row`` is a list of :meth:`to_row`'s length whose decision
+        breakdown and extras are objects."""
+        if type(row) is not list or len(row) != _ROW_LENGTH:
+            raise ValueError(f"not a {_ROW_LENGTH}-field result row")
+        if type(row[14]) is not dict or type(row[23]) is not dict:
+            raise ValueError("decisions and extra must be objects")
+        return cls(
+            *row[:5],
+            TrafficBreakdown(*row[5:9]),
+            EnergyBreakdown(*row[9:12]),
+            OffloadSummary(*row[12:18]),
+            *row[18:],
+        )
 
     def summary_line(self) -> str:
         return (

@@ -57,7 +57,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Deque, Generator, Iterable, List, Optional, Sequence
+from typing import Callable, Deque, Generator, List, Optional, Sequence
 
 from ..errors import SimulationError
 
@@ -583,12 +583,3 @@ ENGINE_MEMBER_SURFACE = {
         "available",
     ),
 }
-
-
-def run_processes(generators: Iterable[Generator]) -> float:
-    """Convenience for tests: run independent processes to completion and
-    return the elapsed time."""
-    engine = Engine()
-    for generator in generators:
-        engine.process(generator)
-    return engine.run()

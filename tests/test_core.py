@@ -1,5 +1,7 @@
 """Tests for policies, results, the system builder, and experiment drivers."""
 
+import pickle
+
 import pytest
 
 from repro import (
@@ -14,7 +16,13 @@ from repro import (
     baseline_config,
     ndp_config,
 )
-from repro.core.policies import MappingPolicy, OffloadPolicy, RunPolicy
+from repro.core.policies import (
+    ALL_POLICIES,
+    POLICIES_BY_LABEL,
+    MappingPolicy,
+    OffloadPolicy,
+    RunPolicy,
+)
 from repro.core.results import OffloadSummary, SimulationResult
 from repro.core.system import NDPSystem
 from repro.errors import AnalysisError, ConfigError
@@ -47,6 +55,16 @@ class TestPolicies:
     def test_offloads_property(self):
         assert not BASELINE.offloads
         assert TOM.offloads and IDEAL_NDP.offloads
+
+    def test_label_is_built_once_and_invisible_to_value_semantics(self):
+        fresh = RunPolicy(OffloadPolicy.CONTROLLED, MappingPolicy.TMAP)
+        assert fresh.label is fresh.label
+        assert fresh == TOM and hash(fresh) == hash(TOM)
+        assert repr(fresh) == repr(RunPolicy(OffloadPolicy.CONTROLLED, MappingPolicy.TMAP))
+        copy = pickle.loads(pickle.dumps(fresh))
+        assert copy == fresh and copy.label == "ctrl+tmap"
+        assert POLICIES_BY_LABEL["ctrl+tmap"] is TOM
+        assert all(POLICIES_BY_LABEL[p.label] is p for p in ALL_POLICIES)
 
 
 class TestResults:

@@ -10,6 +10,11 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +25,15 @@ from repro.analysis.figures import run_figure8_suite
 from repro.config import SystemConfig
 from repro.core import result_cache
 from repro.core.policies import NDP_CTRL_BMAP
+from repro.core.results import OffloadSummary, SimulationResult
+from repro.energy.model import EnergyBreakdown
+from repro.interconnect.links import TrafficBreakdown
 from repro.core.simulator import Simulator
 from repro.trace.generator import build_trace, trace_fingerprint
 from repro.workloads.suite import SUITE_ORDER
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -45,16 +56,16 @@ def _key(
 
 
 def _read_entry(path):
-    """A v3 entry as (header dict, result dict)."""
+    """A v4 entry as (header dict, decoded result)."""
     header, _, body = path.read_bytes().partition(b"\n")
-    return json.loads(header), json.loads(body)
+    return json.loads(header), SimulationResult.from_row(json.loads(body))
 
 
-def _write_entry(path, header, result_payload):
+def _write_entry(path, header, stored):
     path.write_bytes(
         json.dumps(header).encode()
         + b"\n"
-        + json.dumps(result_payload, separators=(",", ":")).encode()
+        + json.dumps(stored.to_row(), separators=(",", ":")).encode()
     )
 
 
@@ -317,6 +328,96 @@ class TestRoundTrip:
         assert result_from_dict(payload) == sp_bmap_result
 
 
+def _every_field_result(position, colocation):
+    """A result with a distinct value in every stored field: ints and
+    floats of either kind, decisions in non-sorted insertion order."""
+    return SimulationResult(
+        workload="LIB",
+        policy_label="ctrl+tmap",
+        cycles=123456.75,
+        warp_instructions=98765,
+        warp_size=32,
+        traffic=TrafficBreakdown(1.5, 2.25, 3, 4.0),
+        energy=EnergyBreakdown(5e-3, 6.5e-4, 7.25e-5),
+        offload=OffloadSummary(
+            candidates_considered=11,
+            candidates_offloaded=7,
+            decision_breakdown={"rejected": 3, "offloaded": 7, "busy": 1},
+            offloaded_warp_instructions=4321,
+            total_warp_instructions=98765,
+            dirty_lines_reported=13,
+        ),
+        learned_bit_position=position,
+        learned_colocation=colocation,
+        l1_load_miss_rate=0.125,
+        l2_load_miss_rate=0.0625,
+        dram_row_hit_rate=0.875,
+        extra={"z_last": 2.5, "a_first": 1},
+    )
+
+
+class TestRowCodec:
+    """Entry format v4 stores the result as one row of its stored
+    fields, decoded in core."""
+
+    @pytest.mark.parametrize("position, colocation", [(None, None), (9, 0.4375)])
+    def test_store_load_round_trips_every_field(self, position, colocation):
+        result = _every_field_result(position, colocation)
+        key = _key()
+        result_cache.store(key, result)
+        loaded = result_cache.load(key)
+        assert loaded == result
+        assert [type(value) for value in loaded.to_row()] == [
+            type(value) for value in result.to_row()
+        ]
+        assert list(loaded.offload.decision_breakdown) == ["rejected", "offloaded", "busy"]
+        assert list(loaded.extra) == ["z_last", "a_first"]
+        assert result_cache.stats["corrupt"] == 0
+
+    def test_body_is_the_row_without_derived_values(self):
+        result = _every_field_result(None, None)
+        key = _key()
+        result_cache.store(key, result)
+        path = result_cache.cache_dir() / f"{key}.json"
+        body = path.read_bytes().partition(b"\n")[2]
+        assert json.loads(body) == result.to_row()
+        assert len(result.to_row()) == 24
+        assert b"ipc" not in body and b"total" not in body
+
+    def test_load_and_store_never_import_the_analysis_layer(self, tmp_path):
+        script = textwrap.dedent(
+            """
+            import sys
+            from repro.core import result_cache
+            from repro.energy.model import EnergyBreakdown
+            from repro.core.results import OffloadSummary, SimulationResult
+            from repro.interconnect.links import TrafficBreakdown
+
+            result = SimulationResult(
+                "SP", "baseline", 10.0, 20, 32,
+                TrafficBreakdown(1.0, 2.0, 3.0, 4.0),
+                EnergyBreakdown(1.0, 2.0, 3.0),
+                OffloadSummary(0, 0, {}, 0, 20, 0),
+            )
+            result_cache.store("k" * 64, result)
+            assert result_cache.load("k" * 64) == result
+            assert result_cache.stats["hits"] == 1
+            print(sorted(name for name in sys.modules if name.startswith("repro.analysis")))
+            """
+        )
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path), PYTHONPATH=_SRC)
+        env.pop("REPRO_NO_CACHE", None)
+        env.pop("REPRO_FAULTS", None)
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.strip() == "[]"
+
+
 class TestHitMiss:
     def test_miss_then_hit(self):
         first = WorkloadRunner("SP", scale=TraceScale.TINY).run(NDP_CTRL_BMAP)
@@ -403,9 +504,9 @@ class TestDisableAndCorruption:
         key = _key()
         result_cache.store(key, result)
         path = result_cache.cache_dir() / f"{key}.json"
-        header, payload = _read_entry(path)
+        header, stored = _read_entry(path)
         header["format"] = -1
-        _write_entry(path, header, payload)
+        _write_entry(path, header, stored)
         assert result_cache.load(key) is None
         assert result_cache.stats["corrupt"] == 1
 
@@ -416,9 +517,9 @@ class TestDisableAndCorruption:
         key = _key()
         result_cache.store(key, result)
         path = result_cache.cache_dir() / f"{key}.json"
-        header, payload = _read_entry(path)
-        payload["cycles"] += 1
-        _write_entry(path, header, payload)
+        header, stored = _read_entry(path)
+        stored = dataclasses.replace(stored, cycles=stored.cycles + 1)
+        _write_entry(path, header, stored)
         assert result_cache.load(key) is None
         assert result_cache.stats["corrupt"] == 1
         assert (result_cache.quarantine_dir() / path.name).exists()
@@ -500,13 +601,13 @@ class TestHeaderFastPath:
         _, _, header, body = _stored_entry(sp_bmap_result)
         checksum = hashlib.sha256(body).hexdigest()
         assert header == json.dumps(
-            {"format": 3, "checksum": checksum}, separators=(",", ":")
+            {"format": 4, "checksum": checksum}, separators=(",", ":")
         ).encode()
 
     def test_valid_header_spelled_differently_still_hits(self, sp_bmap_result):
         key, path, _, body = _stored_entry(sp_bmap_result)
         checksum = hashlib.sha256(body).hexdigest()
-        spelled = json.dumps({"checksum": checksum, "format": 3}, indent=1)
+        spelled = json.dumps({"checksum": checksum, "format": 4}, indent=1)
         path.write_bytes(spelled.replace("\n", " ").encode() + b"\n" + body)
         before = dict(result_cache.stats)
         assert result_cache.load(key) == sp_bmap_result
@@ -539,11 +640,47 @@ class TestHeaderFastPath:
     @staticmethod
     def _non_dict_header(header, body):
         checksum = hashlib.sha256(body).hexdigest()
-        return json.dumps([3, checksum]).encode() + b"\n" + body, "malformed payload"
+        return json.dumps([4, checksum]).encode() + b"\n" + body, "malformed payload"
+
+    @staticmethod
+    def _v3_header(header, body):
+        checksum = hashlib.sha256(body).hexdigest()
+        v3 = json.dumps({"format": 3, "checksum": checksum}, separators=(",", ":"))
+        return v3.encode() + b"\n" + body, "stale format 3"
+
+    @staticmethod
+    def _rewritten_row(body, edit):
+        """An entry whose row is ``edit``-ed and re-checksummed, so it
+        passes the header and checksum checks and fails in decoding."""
+        row = json.loads(body)
+        edit(row)
+        body = json.dumps(row, separators=(",", ":")).encode()
+        return result_cache._header(hashlib.sha256(body).hexdigest()) + b"\n" + body
+
+    @classmethod
+    def _short_row(cls, header, body):
+        data = cls._rewritten_row(body, lambda row: row.pop())
+        return data, "undecodable result: not a 24-field result row"
+
+    @classmethod
+    def _decisions_not_an_object(cls, header, body):
+        def edit(row):
+            row[14] = list(row[14].items())
+
+        data = cls._rewritten_row(body, edit)
+        return data, "undecodable result: decisions and extra must be objects"
 
     @pytest.mark.parametrize(
         "damage",
-        ["_flipped_body", "_stale_format", "_truncated_header", "_non_dict_header"],
+        [
+            "_flipped_body",
+            "_stale_format",
+            "_v3_header",
+            "_truncated_header",
+            "_non_dict_header",
+            "_short_row",
+            "_decisions_not_an_object",
+        ],
     )
     def test_damaged_entry_is_quarantined_with_its_reason(
         self, damage, sp_bmap_result, caplog

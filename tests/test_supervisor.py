@@ -507,6 +507,26 @@ class TestPlannerCounts:
         warm = self._delta(lambda: figures.section65(scale=TraceScale.TINY))
         assert warm == (0, 50, 0, 0)
 
+    def test_warm_section65_keys_each_distinct_point_once(self, monkeypatch):
+        """The 80 points of a warm §6.5 query are 50 distinct
+        (workload, policy, run config, trace identity) points: one
+        ``cache_key`` call each."""
+        from repro.analysis import figures
+
+        figures.section65(scale=TraceScale.TINY)
+        calls = []
+        cache_key = result_cache.cache_key
+
+        def counting(*args, **kwargs):
+            calls.append(kwargs)
+            return cache_key(*args, **kwargs)
+
+        monkeypatch.setattr(result_cache, "cache_key", counting)
+        assert self._delta(lambda: figures.section65(scale=TraceScale.TINY)) == (
+            0, 50, 0, 0,
+        )
+        assert len(calls) == 50
+
 
 def _cache_counts():
     stats = result_cache.stats
